@@ -45,10 +45,12 @@ pub struct RefineConfig {
 }
 
 impl RefineConfig {
-    /// Default per-node state budget. Join points in the (single-path
-    /// biased) benchmark suite rarely accumulate more than a handful of
-    /// distinct projected states; 64 leaves ample headroom while bounding
-    /// the worst case.
+    /// Default per-node state budget. Measured over one pass of the
+    /// benchmark's FIFO sweep (444 suite × Table 2 units, 220 439 per-set
+    /// explorations), in-sets hold 4.9 distinct projected states per node
+    /// visit on average, and 4 903 explorations (2.2 %) reach a node with
+    /// more than 64 — those sets are abandoned to the cheap result. 64
+    /// keeps the common case exact while bounding the worst case.
     pub const DEFAULT_MAX_STATES: u32 = 64;
 
     /// Refinement on, default budget.

@@ -326,6 +326,7 @@ impl WcetAnalysis {
         let t_refine = Instant::now();
         let (marks, refine_stats) = refine::refine_classification(
             &vivu,
+            &cache,
             &acfg,
             config,
             refine,

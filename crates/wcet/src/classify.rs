@@ -336,7 +336,7 @@ fn condensation(n: usize, succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
 /// broken back edges restored, and its SCC condensation with members
 /// sorted by topological position. Shared across a lineage via
 /// [`AnalysisCache::topology`].
-fn build_topology(vivu: &VivuGraph) -> Topology {
+pub(crate) fn build_topology(vivu: &VivuGraph) -> Topology {
     let n = vivu.len();
     let mut preds: Vec<Vec<usize>> = (0..n)
         .map(|i| {

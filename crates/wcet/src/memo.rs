@@ -89,6 +89,35 @@ fn mix(h: u64, x: u64) -> u64 {
     (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
+/// [`mix`] as a word-at-a-time [`Hasher`], for small keys of plain words
+/// (the refinement's per-set state interner). Not collision-resistant:
+/// use it only for tables whose size is bounded, as the refinement's
+/// state budget bounds its interner.
+#[derive(Default)]
+pub(crate) struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u64(&mut self, x: u64) {
+        self.0 = mix(self.0, x);
+    }
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// A hash map keyed through [`MixHasher`].
+pub(crate) type MixMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+
 fn key_hash(sig: &NodeSig, ins: &[Arc<StatePair>]) -> u64 {
     let mut h = mix(ins.len() as u64, Arc::as_ptr(sig) as u64);
     for a in ins {

@@ -8,7 +8,9 @@
 //! tree bits projected onto that one cache set), seeded cold at
 //! predecessor-less nodes, unioned (and deduplicated) at join points, and
 //! pushed through each node's touched-block signature exactly as the
-//! concrete cache would execute it.
+//! concrete cache would execute it. State sets are sorted vectors of ids
+//! into a per-exploration table of distinct states, so joins and the
+//! fixpoint's change test compare integers (DESIGN.md §12).
 //!
 //! The explored state sets over-approximate every state any bounded
 //! concrete walk can reach at a node, so the verdict is sound: an
@@ -35,7 +37,8 @@ use rtpf_cache::{CacheConfig, Classification, RefineConfig, RefineMark, SetState
 use rtpf_isa::MemBlockId;
 
 use crate::acfg::Acfg;
-use crate::memo::NodeSig;
+use crate::classify::build_topology;
+use crate::memo::{AnalysisCache, MixMap, NodeSig, Topology};
 use crate::vivu::{NodeId, VivuGraph};
 
 /// Outcome counters of one refinement pass.
@@ -55,36 +58,32 @@ pub struct RefineStats {
 
 /// Read-only context shared by every per-set exploration.
 struct Ctx<'a> {
-    acfg: &'a Acfg,
-    sigs: &'a [NodeSig],
-    mem_block: &'a [MemBlockId],
+    vivu: &'a VivuGraph,
     /// Snapshot of the cheap classification the upgrades are judged
     /// against; a set's exploration only reads entries of its own set.
     class: &'a [Classification],
-    topo: &'a [NodeId],
-    preds: &'a [Vec<u32>],
-    succs: &'a [Vec<u32>],
-    /// Flattened per-node access sequence (own block, then prefetch
-    /// target, per reference — the order the concrete walk executes).
-    accesses: &'a [Vec<MemBlockId>],
-    /// Sorted set-index footprint per node, for quick "does this node
-    /// touch set s" checks.
-    footprint: &'a [Vec<u64>],
+    /// VIVU adjacency with the loop back edges restored: the exploration
+    /// must cover arbitrarily many iterations, not just the peeled DAG.
+    top: &'a Topology,
     policy: rtpf_cache::ReplacementPolicy,
     assoc: u32,
-    n_sets: u64,
     budget: usize,
 }
 
-impl Ctx<'_> {
-    #[inline]
-    fn set_of(&self, b: MemBlockId) -> u64 {
-        b.0 % self.n_sets
-    }
+/// One targeted set's slice of the graph, bucketed once per pass: the
+/// nodes touching the set, in node order, each with its same-set accesses
+/// in the order the concrete walk executes them.
+#[derive(Default)]
+struct Bucket {
+    /// `(node, start, end)`: the node's accesses are `blocks[start..end]`.
+    nodes: Vec<(u32, u32, u32)>,
+    /// `(block, reference index)`; no reference for a prefetch target.
+    blocks: Vec<(u64, Option<u32>)>,
 }
 
 /// What one set's exploration concluded. Applied to `class`/`marks`
 /// sequentially, in sorted set order.
+#[derive(Default)]
 struct SetOutcome {
     exhausted: bool,
     /// `(reference index, upgraded classification)` pairs.
@@ -94,154 +93,177 @@ struct SetOutcome {
 }
 
 /// Per-worker exploration scratch, node-indexed and reused across sets.
+///
+/// State sets hold interned ids: each distinct [`SetState`] of the
+/// current exploration is stored once (`states[id]`), so joins and the
+/// changed test are integer merges and compares on sorted `u32` vectors.
+#[derive(Default)]
 struct Scratch {
-    out: Vec<Vec<SetState>>,
+    states: Vec<SetState>,
+    ids: MixMap<SetState, u32>,
+    out: Vec<Vec<u32>>,
     pending: Vec<bool>,
+    /// Each node's `blocks` range in the current bucket (empty if the node
+    /// does not touch the set).
+    span: Vec<(u32, u32)>,
+    /// The node whose out-set each node's equals: itself, or — for a node
+    /// that neither touches the set nor has other than one forward
+    /// predecessor — that predecessor's representative.
+    rep: Vec<u32>,
+    ins: Vec<u32>,
+    /// `(all hit, all miss)` per reference of the node under verdict.
+    unanimous: Vec<(bool, bool)>,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Scratch {
-        Scratch {
-            out: vec![Vec::new(); n],
-            pending: vec![false; n],
+/// The id of `st`, storing it on first sight.
+fn intern(states: &mut Vec<SetState>, ids: &mut MixMap<SetState, u32>, st: SetState) -> u32 {
+    *ids.entry(st).or_insert_with_key(|st| {
+        states.push(st.clone());
+        states.len() as u32 - 1
+    })
+}
+
+/// Fills `ins` with the sorted union of the out-sets of `preds` — the cold
+/// state (id 0) when there are none.
+fn join_into(ins: &mut Vec<u32>, out: &[Vec<u32>], rep: &[u32], preds: &[u32]) {
+    ins.clear();
+    let set = |p: u32| &out[rep[p as usize] as usize][..];
+    match *preds {
+        [] => ins.push(0),
+        [p] => ins.extend_from_slice(set(p)),
+        [a, b] => {
+            // The common two-way join: one linear merge.
+            let (mut x, mut y) = (set(a), set(b));
+            while let (Some(&u), Some(&v)) = (x.first(), y.first()) {
+                ins.push(u.min(v));
+                x = &x[usize::from(u <= v)..];
+                y = &y[usize::from(v <= u)..];
+            }
+            ins.extend_from_slice(x);
+            ins.extend_from_slice(y);
+        }
+        _ => {
+            for &p in preds {
+                ins.extend_from_slice(set(p));
+            }
+            ins.sort_unstable();
+            ins.dedup();
         }
     }
 }
 
 /// Runs the exploration and verdict for one cache set. Pure with respect
-/// to shared state: reads `ctx`, mutates only `scratch` and the returned
-/// outcome.
-fn explore_set(ctx: &Ctx<'_>, set: u64, scratch: &mut Scratch) -> SetOutcome {
-    let mut outcome = SetOutcome {
-        exhausted: false,
-        refined: Vec::new(),
-        examined: Vec::new(),
-    };
-    for o in &mut scratch.out {
-        o.clear();
+/// to shared state: reads `ctx` and `bucket`, mutates only `scratch` and
+/// the returned outcome.
+fn explore_set(ctx: &Ctx<'_>, bucket: &Bucket, scratch: &mut Scratch) -> SetOutcome {
+    let mut outcome = SetOutcome::default();
+    scratch.states.clear();
+    scratch.ids.clear();
+    intern(&mut scratch.states, &mut scratch.ids, SetState::cold());
+    let n = ctx.vivu.len();
+    scratch.pending.clear();
+    scratch.pending.resize(n, true);
+    scratch.span.clear();
+    scratch.span.resize(n, (0, 0));
+    scratch.rep.resize(n, 0);
+    scratch.out.resize_with(n, Vec::new);
+    for &(node, start, end) in &bucket.nodes {
+        scratch.span[node as usize] = (start, end);
     }
-    scratch.pending.fill(true);
+    for &node in ctx.vivu.topo() {
+        let i = node.index();
+        scratch.out[i].clear();
+        scratch.rep[i] = match (ctx.top.preds(i), ctx.vivu.preds(node)) {
+            (&[p], &[_]) if scratch.span[i].0 == scratch.span[i].1 => scratch.rep[p as usize],
+            _ => i as u32,
+        };
+    }
 
     // Chaotic iteration in topological order: forward edges resolve
     // within a sweep, back edges re-arm their headers for the next
     // one. State sets only grow (the transfer distributes over
-    // union), so the budget bounds termination.
-    'fixpoint: loop {
-        let mut progressed = false;
-        for &node in ctx.topo {
+    // union), so the budget bounds termination. A mirroring node
+    // (`rep[i] != i`) is armed only by its predecessor's change, so it
+    // changed too once that predecessor is reached.
+    let mut progressed = true;
+    'fixpoint: while progressed {
+        progressed = false;
+        for &node in ctx.vivu.topo() {
             let i = node.index();
             if !std::mem::replace(&mut scratch.pending[i], false) {
                 continue;
             }
-            let mut ins: Vec<SetState> = Vec::new();
-            if ctx.preds[i].is_empty() {
-                ins.push(SetState::cold());
+            let changed = if scratch.rep[i] as usize != i {
+                !scratch.out[scratch.rep[i] as usize].is_empty()
             } else {
-                for &p in &ctx.preds[i] {
-                    ins.extend(scratch.out[p as usize].iter().cloned());
+                let preds = ctx.top.preds(i);
+                join_into(&mut scratch.ins, &scratch.out, &scratch.rep, preds);
+                if scratch.ins.len() > ctx.budget {
+                    outcome.exhausted = true;
+                    break 'fixpoint;
                 }
-                ins.sort_unstable();
-                ins.dedup();
-                if ins.is_empty() {
-                    continue; // not reached yet; a pred update re-arms us
-                }
-            }
-            if ins.len() > ctx.budget {
-                outcome.exhausted = true;
-                break 'fixpoint;
-            }
-            if ctx.footprint[i].binary_search(&set).is_ok() {
-                for st in &mut ins {
-                    for &b in &ctx.accesses[i] {
-                        if ctx.set_of(b) == set {
-                            st.access(ctx.policy, ctx.assoc, b.0);
+                let (start, end) = scratch.span[i];
+                if start < end {
+                    for id in scratch.ins.iter_mut() {
+                        let mut st = scratch.states[*id as usize].clone();
+                        for &(b, _) in &bucket.blocks[start as usize..end as usize] {
+                            st.access(ctx.policy, ctx.assoc, b);
                         }
+                        *id = intern(&mut scratch.states, &mut scratch.ids, st);
                     }
+                    scratch.ins.sort_unstable();
+                    scratch.ins.dedup();
                 }
-                ins.sort_unstable();
-                ins.dedup();
-            }
-            if ins != scratch.out[i] {
-                scratch.out[i] = ins;
-                for &s in &ctx.succs[i] {
+                // An empty in-set is not reached yet; a pred update re-arms.
+                *scratch.ins != scratch.out[i] && {
+                    std::mem::swap(&mut scratch.out[i], &mut scratch.ins);
+                    true
+                }
+            };
+            if changed {
+                for &s in ctx.top.succs(i) {
                     scratch.pending[s as usize] = true;
                 }
                 progressed = true;
             }
         }
-        if !progressed {
-            break;
-        }
-    }
-
-    if outcome.exhausted {
-        for r in ctx.acfg.refs() {
-            let ri = r.id.index();
-            if ctx.class[ri] == Classification::Unclassified && ctx.set_of(ctx.mem_block[ri]) == set
-            {
-                outcome.examined.push(ri);
-            }
-        }
-        return outcome;
     }
 
     // Verdict: replay every in-state through each node holding an
-    // unclassified reference of this set. Unanimous outcomes upgrade;
-    // anything mixed (or unreachable) stays cheap.
-    for &node in ctx.topo {
-        let i = node.index();
-        let rids = ctx.acfg.refs_of_node(node);
-        let sig = &ctx.sigs[i];
-        let wanted = rids.iter().zip(sig.iter()).any(|(r, &(own, _))| {
-            ctx.class[r.index()] == Classification::Unclassified && ctx.set_of(own) == set
-        });
-        if !wanted {
+    // unclassified reference of this set (such a node touches the set).
+    // Unanimous outcomes upgrade; anything mixed (or unreachable) stays
+    // cheap. An exhausted set only reports its targets as examined.
+    for &(node, start, end) in &bucket.nodes {
+        let acc = &bucket.blocks[start as usize..end as usize];
+        let wanted = |&(_, r): &(u64, Option<u32>)| {
+            let ri = r? as usize;
+            (ctx.class[ri] == Classification::Unclassified).then_some(ri)
+        };
+        if outcome.exhausted || !acc.iter().any(|a| wanted(a).is_some()) {
+            outcome.examined.extend(acc.iter().filter_map(wanted));
             continue;
         }
-        let mut ins: Vec<SetState> = Vec::new();
-        if ctx.preds[i].is_empty() {
-            ins.push(SetState::cold());
-        } else {
-            for &p in &ctx.preds[i] {
-                ins.extend(scratch.out[p as usize].iter().cloned());
-            }
-            ins.sort_unstable();
-            ins.dedup();
-        }
-        let mut all_hit = vec![true; sig.len()];
-        let mut all_miss = vec![true; sig.len()];
-        for st0 in &ins {
-            let mut st = st0.clone();
-            for (j, &(own, pf)) in sig.iter().enumerate() {
-                if ctx.set_of(own) == set {
-                    if st.access(ctx.policy, ctx.assoc, own.0) {
-                        all_miss[j] = false;
-                    } else {
-                        all_hit[j] = false;
-                    }
-                }
-                if let Some(t) = pf {
-                    if ctx.set_of(t) == set {
-                        st.access(ctx.policy, ctx.assoc, t.0);
-                    }
-                }
+        let preds = ctx.top.preds(node as usize);
+        join_into(&mut scratch.ins, &scratch.out, &scratch.rep, preds);
+        scratch.unanimous.clear();
+        scratch.unanimous.resize(acc.len(), (true, true));
+        for &id in scratch.ins.iter() {
+            let mut st = scratch.states[id as usize].clone();
+            for (&(b, _), (all_hit, all_miss)) in acc.iter().zip(scratch.unanimous.iter_mut()) {
+                let hit = st.access(ctx.policy, ctx.assoc, b);
+                *all_hit &= hit;
+                *all_miss &= !hit;
             }
         }
-        for (j, &r) in rids.iter().enumerate() {
-            let ri = r.index();
-            if ctx.class[ri] != Classification::Unclassified || ctx.set_of(sig[j].0) != set {
-                continue;
-            }
-            if ins.is_empty() {
-                // Unreachable in the exploration (hence in every
-                // concrete walk): no evidence either way.
-                outcome.examined.push(ri);
-            } else if all_hit[j] {
-                outcome.refined.push((ri, Classification::AlwaysHit));
-            } else if all_miss[j] {
-                outcome.refined.push((ri, Classification::AlwaysMiss));
-            } else {
-                outcome.examined.push(ri);
+        for (a, &u) in acc.iter().zip(scratch.unanimous.iter()) {
+            let Some(ri) = wanted(a) else { continue };
+            // An empty in-set is unreachable in the exploration (hence in
+            // every concrete walk): no evidence either way.
+            match u {
+                _ if scratch.ins.is_empty() => outcome.examined.push(ri),
+                (true, _) => outcome.refined.push((ri, Classification::AlwaysHit)),
+                (_, true) => outcome.refined.push((ri, Classification::AlwaysMiss)),
+                _ => outcome.examined.push(ri),
             }
         }
     }
@@ -264,6 +286,7 @@ fn explore_set(ctx: &Ctx<'_>, set: u64, scratch: &mut Scratch) -> SetOutcome {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_classification(
     vivu: &VivuGraph,
+    cache: &AnalysisCache,
     acfg: &Acfg,
     config: &CacheConfig,
     refine: RefineConfig,
@@ -297,103 +320,71 @@ pub(crate) fn refine_classification(
         return (marks, stats);
     }
 
-    // VIVU adjacency with the loop back edges restored: the exploration
-    // must cover arbitrarily many iterations, not just the peeled DAG.
     let n = vivu.len();
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, out) in succs.iter_mut().enumerate() {
-        for &s in vivu.succs(NodeId(i as u32)) {
-            preds[s.index()].push(i as u32);
-            out.push(s.0);
-        }
-    }
-    for &(from, to) in vivu.back_edges() {
-        preds[to.index()].push(from.0);
-        succs[from.index()].push(to.0);
-    }
+    let top = cache.topology(|| build_topology(vivu));
 
-    let mut accesses: Vec<Vec<MemBlockId>> = Vec::with_capacity(n);
-    let mut footprint: Vec<Vec<u64>> = Vec::with_capacity(n);
-    for sig in sigs.iter().take(n) {
-        let mut acc = Vec::with_capacity(sig.len());
-        for &(own, pf) in sig.iter() {
-            acc.push(own);
-            if let Some(t) = pf {
-                acc.push(t);
+    // Each node's accesses (own block, then prefetch target, per
+    // reference), bucketed by targeted set.
+    let mut buckets: Vec<Bucket> = targets.iter().map(|_| Bucket::default()).collect();
+    for (i, sig) in sigs.iter().take(n).enumerate() {
+        let rids = acfg.refs_of_node(NodeId(i as u32));
+        for (&(own, pf), r) in sig.iter().zip(rids) {
+            for (b, r) in std::iter::once((own, Some(r.0))).chain(pf.map(|t| (t, None))) {
+                let Ok(k) = targets.binary_search(&set_of(b)) else {
+                    continue;
+                };
+                let bucket = &mut buckets[k];
+                let at = bucket.blocks.len() as u32;
+                match bucket.nodes.last_mut() {
+                    Some((node, _, end)) if *node == i as u32 => *end = at + 1,
+                    _ => bucket.nodes.push((i as u32, at, at + 1)),
+                }
+                bucket.blocks.push((b.0, r));
             }
         }
-        let mut fp: Vec<u64> = acc.iter().map(|&b| set_of(b)).collect();
-        fp.sort_unstable();
-        fp.dedup();
-        accesses.push(acc);
-        footprint.push(fp);
     }
 
     let ctx = Ctx {
-        acfg,
-        sigs,
-        mem_block,
+        vivu,
         class,
-        topo: vivu.topo(),
-        preds: &preds,
-        succs: &succs,
-        accesses: &accesses,
-        footprint: &footprint,
+        top: &top,
         policy: config.policy(),
         assoc: config.assoc(),
-        n_sets,
         budget: refine.max_states as usize,
     };
 
-    let workers = threads.max(1).min(targets.len());
-    let outcomes: Vec<SetOutcome> = if workers <= 1 {
-        let mut scratch = Scratch::new(n);
-        targets
-            .iter()
-            .map(|&set| explore_set(&ctx, set, &mut scratch))
-            .collect()
-    } else {
-        // Fan the independent per-set fixpoints out over a scoped pool:
-        // workers claim target indices from an atomic counter, and the
-        // outcomes are re-sorted into target order before applying.
-        let next = &AtomicUsize::new(0);
-        let ctx = &ctx;
-        let targets = &targets;
-        let mut indexed: Vec<(usize, SetOutcome)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(move || {
-                        let mut scratch = Scratch::new(n);
-                        let mut got: Vec<(usize, SetOutcome)> = Vec::new();
-                        loop {
-                            let k = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(&set) = targets.get(k) else {
-                                return got;
-                            };
-                            got.push((k, explore_set(ctx, set, &mut scratch)));
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("refine worker panicked"))
-                .collect()
-        });
-        indexed.sort_unstable_by_key(|&(k, _)| k);
-        indexed.into_iter().map(|(_, o)| o).collect()
-    };
-
-    for outcome in outcomes {
-        stats.sets_targeted += 1;
-        if outcome.exhausted {
-            stats.sets_exhausted += 1;
-            for ri in outcome.examined {
-                marks[ri] = RefineMark::Examined;
-            }
-            continue;
+    // Workers claim target indices from an atomic counter (a single one
+    // runs in place); the outcomes are re-sorted into target order before
+    // applying.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut scratch = Scratch::default();
+        let mut got: Vec<(usize, SetOutcome)> = Vec::new();
+        loop {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            let Some(bucket) = buckets.get(k) else {
+                return got;
+            };
+            got.push((k, explore_set(&ctx, bucket, &mut scratch)));
         }
+    };
+    let workers = threads.max(1).min(targets.len());
+    let mut outcomes = if workers <= 1 {
+        claim()
+    } else {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("refine worker panicked"));
+            joined.flatten().collect()
+        })
+    };
+    outcomes.sort_unstable_by_key(|&(k, _)| k);
+
+    for (_, outcome) in outcomes {
+        stats.sets_targeted += 1;
+        stats.sets_exhausted += u32::from(outcome.exhausted);
         for (ri, cl) in outcome.refined {
             class[ri] = cl;
             marks[ri] = RefineMark::Refined;
@@ -583,6 +574,49 @@ mod tests {
                 }
                 _ => assert_eq!(starved.refine_mark(r.id), RefineMark::Untouched),
             }
+        }
+    }
+
+    #[test]
+    fn the_budget_bounds_the_distinct_in_states_exactly() {
+        // One 4-way set holds every block, so exactly one set is targeted.
+        // Two branch diamonds inside a loop make its largest per-node
+        // in-set hold M distinct states (pinned before the exploration
+        // switched to interned ids): a budget of M explores it fully, M − 1
+        // abandons it — the budget counts distinct states, nothing else.
+        let shape = Shape::loop_(
+            8,
+            Shape::seq([
+                Shape::if_else(1, Shape::code(6), Shape::code(3)),
+                Shape::if_else(1, Shape::code(5), Shape::code(9)),
+            ]),
+        );
+        let geometry = CacheConfig::new(4, 16, 64).unwrap();
+        for (policy, m) in [(ReplacementPolicy::Fifo, 11), (ReplacementPolicy::Plru, 43)] {
+            let run = |max_states| {
+                *analyze_in(
+                    &shape,
+                    policy,
+                    RefineConfig {
+                        enabled: true,
+                        max_states,
+                    },
+                    geometry,
+                )
+                .refine_stats()
+            };
+            let fits = run(m);
+            assert_eq!(fits.sets_targeted, 1, "{policy}");
+            assert_eq!(fits.sets_exhausted, 0, "{policy}: budget {m} must suffice");
+            assert!(fits.refined_hits + fits.refined_misses > 0, "{policy}");
+            let short = run(m - 1);
+            assert_eq!(
+                short.sets_exhausted,
+                1,
+                "{policy}: budget {} must exhaust",
+                m - 1
+            );
+            assert_eq!(short.refined_hits + short.refined_misses, 0, "{policy}");
         }
     }
 
