@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rtpf_core::Optimizer;
 use rtpf_engine::EngineConfig;
 
-fn bench_optimizer(c: &mut Criterion) {
+fn bench_optimize(c: &mut Criterion) {
     let mut g = c.benchmark_group("optimizer");
     g.sample_size(10);
     for (name, capacity) in [
@@ -36,5 +36,5 @@ fn bench_optimizer(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_optimizer);
+criterion_group!(benches, bench_optimize);
 criterion_main!(benches);

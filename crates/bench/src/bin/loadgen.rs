@@ -1,4 +1,4 @@
-//! Concurrent load generator for `rtpfd`: `results/bench_serve.json`.
+//! Concurrent load generator for `rtpfd`.
 //!
 //! Drives a daemon (an in-process one by default, or an external one via
 //! `--addr`/`--port-file`) with a *mixed* workload — every service
@@ -13,23 +13,17 @@
 //! * **warm**: the second pass must be served entirely from the store
 //!   (miss delta exactly zero).
 //!
-//! Both passes record wall-clock, requests/s, and p50/p99 latency; the
-//! store's hit/miss/coalesce counters complete the record.
+//! Both passes print wall-clock, requests/s, and p50/p99 latency, followed
+//! by the store's hit/miss/coalesce counters. These are single-run figures
+//! for a quick look; the repeated, seeded measurement of the same request
+//! list is `perfbench`'s `serve` workload (see `BENCHMARK.json`).
 //!
 //! ```text
-//! cargo run --release -p rtpf-bench --bin loadgen -- --record   # full, 1000 clients
-//! cargo run --release -p rtpf-bench --bin loadgen -- --smoke --record
-//! cargo run --release -p rtpf-bench --bin loadgen -- --check    # CI regression gate
+//! cargo run --release -p rtpf-bench --bin loadgen                # full, 1000 clients
+//! cargo run --release -p rtpf-bench --bin loadgen -- --smoke     # 3 programs, 64 clients
 //! loadgen --port-file /tmp/rtpfd.port --smoke --shutdown        # CI rtpfd-smoke
 //! ```
-//!
-//! `--check` reruns the smoke workload and fails (exit 1) when its warm
-//! wall-clock regresses more than 2x against the committed smoke record
-//! — wide because daemon throughput on shared CI runners is noisy; the
-//! exactly-once assertions above are exact and always enforced.
 
-use std::fmt::Write as _;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -40,16 +34,9 @@ use rtpf_serve::{encode_request, Daemon, DaemonConfig};
 
 const FULL_CLIENTS: usize = 1000;
 const SMOKE_CLIENTS: usize = 64;
-/// Same smoke slice as `bench_sweep`.
+/// A small, a medium and a large suite program.
 const SMOKE_PROGRAMS: [&str; 3] = ["bs", "fft1", "statemate"];
-/// CI gate: fail when the fresh warm wall-clock exceeds the committed
-/// record by more than this factor.
-const REGRESSION_FACTOR: f64 = 2.0;
 const TIMEOUT: Duration = Duration::from_secs(300);
-
-fn results_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/bench_serve.json")
-}
 
 /// The mixed workload: every op × program × configuration unit.
 fn workload(smoke: bool) -> Vec<ServiceRequest> {
@@ -94,118 +81,9 @@ fn expected_misses(distinct_units: usize) -> u64 {
 
 struct PhaseRecord {
     wall_ms: f64,
-    requests: usize,
     rps: f64,
     p50_ms: f64,
     p99_ms: f64,
-}
-
-struct SectionRecord {
-    clients: usize,
-    distinct: usize,
-    cold: PhaseRecord,
-    warm: PhaseRecord,
-    hits: u64,
-    misses: u64,
-    coalesced: u64,
-    hit_rate: f64,
-}
-
-impl PhaseRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"wall_ms\": {:.1}, \"requests\": {}, \"rps\": {:.1}, \
-             \"p50_ms\": {:.2}, \"p99_ms\": {:.2}}}",
-            self.wall_ms, self.requests, self.rps, self.p50_ms, self.p99_ms
-        )
-    }
-
-    fn from_json(v: &Value) -> Option<PhaseRecord> {
-        Some(PhaseRecord {
-            wall_ms: v.get("wall_ms")?.as_f64()?,
-            requests: v.get("requests")?.as_u64()? as usize,
-            rps: v.get("rps")?.as_f64()?,
-            p50_ms: v.get("p50_ms")?.as_f64()?,
-            p99_ms: v.get("p99_ms")?.as_f64()?,
-        })
-    }
-}
-
-impl SectionRecord {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"clients\": {}, \"distinct\": {},\n    \"cold\": {},\n    \"warm\": {},\n    \
-             \"store\": {{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"hit_rate\": {:.4}}}\n  }}",
-            self.clients,
-            self.distinct,
-            self.cold.to_json(),
-            self.warm.to_json(),
-            self.hits,
-            self.misses,
-            self.coalesced,
-            self.hit_rate
-        )
-    }
-
-    fn from_json(v: &Value) -> Option<SectionRecord> {
-        let store = v.get("store")?;
-        Some(SectionRecord {
-            clients: v.get("clients")?.as_u64()? as usize,
-            distinct: v.get("distinct")?.as_u64()? as usize,
-            cold: PhaseRecord::from_json(v.get("cold")?)?,
-            warm: PhaseRecord::from_json(v.get("warm")?)?,
-            hits: store.get("hits")?.as_u64()?,
-            misses: store.get("misses")?.as_u64()?,
-            coalesced: store.get("coalesced")?.as_u64()?,
-            hit_rate: store.get("hit_rate")?.as_f64()?,
-        })
-    }
-}
-
-#[derive(Default)]
-struct ResultsFile {
-    full: Option<SectionRecord>,
-    smoke: Option<SectionRecord>,
-}
-
-impl ResultsFile {
-    fn load() -> ResultsFile {
-        let Ok(text) = std::fs::read_to_string(results_path()) else {
-            return ResultsFile::default();
-        };
-        let Ok(doc) = Value::parse(&text) else {
-            return ResultsFile::default();
-        };
-        ResultsFile {
-            full: doc.get("full").and_then(SectionRecord::from_json),
-            smoke: doc.get("smoke").and_then(SectionRecord::from_json),
-        }
-    }
-
-    fn store(&self) {
-        let mut s = String::from("{\n");
-        let _ = writeln!(
-            s,
-            "  \"units\": \"milliseconds; mixed analyze/optimize/audit/simulate workload, \
-             concurrent clients, cold then warm pass\","
-        );
-        if let Some(full) = &self.full {
-            let _ = writeln!(s, "  \"full\": {},", full.to_json());
-        }
-        if let Some(smoke) = &self.smoke {
-            let names: Vec<String> = SMOKE_PROGRAMS.iter().map(|p| format!("\"{p}\"")).collect();
-            let _ = writeln!(s, "  \"smoke_programs\": [{}],", names.join(", "));
-            let _ = writeln!(s, "  \"smoke\": {},", smoke.to_json());
-        }
-        while s.ends_with('\n') || s.ends_with(',') {
-            s.truncate(s.len() - 1);
-        }
-        s.push_str("\n}\n");
-        let path = results_path();
-        std::fs::create_dir_all(path.parent().expect("has parent")).expect("results dir");
-        std::fs::write(&path, s).expect("write bench_serve.json");
-        println!("wrote {}", path.display());
-    }
 }
 
 struct Target {
@@ -315,14 +193,13 @@ fn run_phase(addr: &str, requests: &[(String, String)], clients: usize) -> Phase
     let pick = |q: f64| lat[(((lat.len() - 1) as f64) * q) as usize];
     PhaseRecord {
         wall_ms,
-        requests: lat.len(),
         rps: lat.len() as f64 / (wall_ms / 1e3),
         p50_ms: pick(0.50),
         p99_ms: pick(0.99),
     }
 }
 
-fn measure(target: &Target, smoke: bool, clients: usize) -> SectionRecord {
+fn measure(target: &Target, smoke: bool, clients: usize) {
     let reqs = workload(smoke);
     let distinct = reqs.len() / 4; // (program, configuration) units
     let wire: Vec<(String, String)> = reqs
@@ -372,56 +249,50 @@ fn measure(target: &Target, smoke: bool, clients: usize) -> SectionRecord {
     );
 
     let lookups = m2.hits + m2.misses;
-    SectionRecord {
-        clients,
-        distinct,
-        cold,
-        warm,
-        hits: m2.hits,
-        misses: m2.misses,
-        coalesced: m2.coalesced,
-        hit_rate: if lookups == 0 {
-            0.0
-        } else {
-            m2.hits as f64 / lookups as f64
-        },
-    }
-}
-
-fn print_section(label: &str, r: &SectionRecord) {
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        m2.hits as f64 / lookups as f64
+    };
+    let label = if smoke { "smoke" } else { "full" };
     println!(
         "{label:<6} cold {:>8.1} ms ({:>7.1} req/s, p50 {:>7.2} ms, p99 {:>8.2} ms)",
-        r.cold.wall_ms, r.cold.rps, r.cold.p50_ms, r.cold.p99_ms
+        cold.wall_ms, cold.rps, cold.p50_ms, cold.p99_ms
     );
     println!(
         "       warm {:>8.1} ms ({:>7.1} req/s, p50 {:>7.2} ms, p99 {:>8.2} ms)",
-        r.warm.wall_ms, r.warm.rps, r.warm.p50_ms, r.warm.p99_ms
+        warm.wall_ms, warm.rps, warm.p50_ms, warm.p99_ms
     );
     println!(
-        "       store: {} hits / {} misses / {} coalesced (hit rate {:.4})",
-        r.hits, r.misses, r.coalesced, r.hit_rate
+        "       store: {} hits / {} misses / {} coalesced (hit rate {hit_rate:.4})",
+        m2.hits, m2.misses, m2.coalesced
     );
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let check = flag("--check");
-    let smoke = flag("--smoke") || check;
-    let record = flag("--record");
-    let send_shutdown = flag("--shutdown");
-    let clients = value("--clients")
+    let (mut smoke, mut send_shutdown) = (false, false);
+    let (mut addr, mut port_file, mut clients) = (None, None, None);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--smoke" => smoke = true,
+            "--shutdown" => send_shutdown = true,
+            "--addr" => addr = args.next(),
+            "--port-file" => port_file = args.next(),
+            "--clients" => clients = args.next(),
+            // An unknown flag fails loudly rather than being ignored.
+            other => {
+                eprintln!("loadgen: unknown flag {other}");
+                std::process::exit(2);
+            }
+        }
+    }
+    let clients = clients
         .map(|v| v.parse().expect("--clients takes a number"))
         .unwrap_or(if smoke { SMOKE_CLIENTS } else { FULL_CLIENTS });
 
-    let external_addr = value("--addr").or_else(|| {
-        value("--port-file").map(|path| {
+    let external_addr = addr.or_else(|| {
+        port_file.map(|path| {
             std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read --port-file {path}: {e}"))
                 .trim()
@@ -447,35 +318,7 @@ fn main() {
         }
     };
 
-    let fresh = measure(&target, smoke, clients);
-    print_section(if smoke { "smoke" } else { "full" }, &fresh);
-
-    let mut file = ResultsFile::load();
-    if check {
-        let baseline = file
-            .smoke
-            .as_ref()
-            .expect("--check needs a committed smoke record in results/bench_serve.json");
-        let limit = baseline.warm.wall_ms * REGRESSION_FACTOR;
-        if fresh.warm.wall_ms > limit {
-            eprintln!(
-                "serve-smoke REGRESSION: warm {:.1} ms > {:.1} ms ({}x committed {:.1} ms)",
-                fresh.warm.wall_ms, limit, REGRESSION_FACTOR, baseline.warm.wall_ms
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "serve-smoke ok: warm {:.1} ms <= {:.1} ms limit",
-            fresh.warm.wall_ms, limit
-        );
-    } else if record {
-        if smoke {
-            file.smoke = Some(fresh);
-        } else {
-            file.full = Some(fresh);
-        }
-        file.store();
-    }
+    measure(&target, smoke, clients);
 
     if send_shutdown || target.daemon.is_some() {
         target.shutdown();

@@ -66,9 +66,8 @@ pub struct EngineConfig {
     /// (DESIGN.md §12). On by default in every profile; a no-op under LRU,
     /// so LRU artifacts are bit-identical with it on or off.
     refine: RefineConfig,
-    /// Result-invariant execution strategy knobs (identical outputs per
+    /// Result-invariant execution strategy knob (identical outputs per
     /// `OptimizeParams` docs), excluded from the artifact fingerprint.
-    incremental: bool,
     verify_workers: usize,
     /// Worker threads for the classify fixpoint (SCC-DAG scheduling) and
     /// the per-set refinement fan-out; `0` = one per core. Result-invariant
@@ -106,7 +105,6 @@ impl EngineConfig {
             },
             check_effectiveness: true,
             refine: RefineConfig::on(),
-            incremental: true,
             verify_workers: 0,
             threads: 0,
             severity: SeverityConfig::new(),
@@ -222,12 +220,6 @@ impl EngineConfig {
         self
     }
 
-    /// Forces from-scratch (non-incremental) candidate verification.
-    pub fn with_incremental(mut self, incremental: bool) -> EngineConfig {
-        self.incremental = incremental;
-        self
-    }
-
     /// Sets the verification worker count (`0` = one per core).
     pub fn with_verify_workers(mut self, workers: usize) -> EngineConfig {
         self.verify_workers = workers;
@@ -327,7 +319,7 @@ impl EngineConfig {
         let base = OptimizeParams {
             timing: self.timing(),
             check_effectiveness: self.check_effectiveness,
-            incremental: self.incremental,
+            incremental: true,
             verify_workers: self.verify_workers,
             refine: self.refine,
             ..OptimizeParams::default()
@@ -445,11 +437,13 @@ impl EngineConfig {
 
     /// Content hash of everything that can influence a computed artifact.
     ///
-    /// `incremental`, `verify_workers`, and `threads` are excluded: all are
-    /// proven result-invariant (see `OptimizeParams` and DESIGN.md §13), so keying on them would
-    /// only invalidate caches spuriously. The severity policy is excluded
-    /// because it shapes *reporting* of diagnostics, which are never
-    /// cached.
+    /// `verify_workers` and `threads` are excluded: both are proven
+    /// result-invariant (see `OptimizeParams` and DESIGN.md §13), so keying
+    /// on them would only invalidate caches spuriously. Candidate
+    /// verification is always incremental, which `OptimizeParams` proves
+    /// decision-identical to from-scratch re-analysis. The severity policy
+    /// is excluded because it shapes *reporting* of diagnostics, which are
+    /// never cached.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = FpHasher::new();
         self.write_analysis_inputs(&mut h);
@@ -522,11 +516,7 @@ mod tests {
     #[test]
     fn fingerprint_ignores_result_invariant_knobs() {
         let base = EngineConfig::evaluation(k8());
-        let same = base
-            .clone()
-            .with_incremental(false)
-            .with_verify_workers(1)
-            .with_threads(3);
+        let same = base.clone().with_verify_workers(1).with_threads(3);
         assert_eq!(base.fingerprint(), same.fingerprint());
         assert!(same.resolved_threads() == 3);
         assert!(base.resolved_threads() >= 1);

@@ -24,9 +24,9 @@ pub use fingerprint::{program_fingerprint, Fingerprint, FpHasher};
 pub use grid::Grid;
 pub use pipeline::{load_program, sweep_key, Engine, Gated};
 pub use service::{
-    AnalyzeResponse, AuditResponse, ConfigSpec, OptimizeResponse, ProgramSource, ResponseBody,
-    ServiceCore, ServiceError, ServiceOp, ServiceProfile, ServiceRequest, ServiceResponse,
-    SimulateResponse,
+    json_escape, AnalyzeResponse, AuditResponse, ConfigSpec, OptimizeResponse, ProgramSource,
+    ResponseBody, ServiceCore, ServiceError, ServiceOp, ServiceProfile, ServiceRequest,
+    ServiceResponse, SimulateResponse,
 };
 pub use store::{ArtifactKey, ArtifactStore, Stage, StoreConfig, StoreMetrics, Weigh};
 pub use unit::{parse_csv, to_csv, UnitResult, COLUMNS};

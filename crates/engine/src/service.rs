@@ -384,7 +384,10 @@ impl ServiceResponse {
     }
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character, so any parser that follows RFC 8259
+/// (including `rtpf_serve::json`) reads the text back verbatim.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -588,6 +588,14 @@ impl ArtifactStore {
                 match flights.get(&key) {
                     Some(f) => Role::Follower(Arc::clone(f)),
                     None => {
+                        // A leader may have stored the value and retired
+                        // its flight since the lookup above. It stores
+                        // before it unregisters, so a second lookup under
+                        // the registry lock sees the value.
+                        if let Some(v) = self.get::<T>(key) {
+                            self.hits.fetch_add(1, Ordering::Relaxed);
+                            return Ok(v);
+                        }
                         let f = Arc::new(Flight {
                             state: Mutex::new(FlightState::Running),
                             done: Condvar::new(),

@@ -1,8 +1,9 @@
 //! A minimal JSON value parser for the daemon's request bodies.
 //!
 //! The build is offline (no serde); this is the read-side counterpart of
-//! the hand-rolled JSON the workspace already *writes* (`bench_sweep`,
-//! `StoreMetrics::to_json`, `ServiceResponse::to_json`). It parses the
+//! the hand-rolled JSON the workspace already *writes*
+//! (`StoreMetrics::to_json`, `ServiceResponse::to_json`, the daemon's
+//! error bodies, all escaped by `rtpf_engine::json_escape`). It parses the
 //! full JSON grammar — objects, arrays, strings with escapes (including
 //! `\uXXXX`), numbers, booleans, null — into a [`Value`] tree with the
 //! few typed accessors request decoding needs.

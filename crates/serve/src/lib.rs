@@ -3,8 +3,8 @@
 //! The `rtpfd` daemon mounts the engine's [`ServiceCore`] — one shared,
 //! sharded, single-flight [`ArtifactStore`] plus per-configuration
 //! engines — behind a hand-rolled std-only HTTP/1.1+JSON server (the
-//! build is offline: no tokio, no serde; the server is built the way
-//! `bench_sweep` builds its JSON). Endpoints:
+//! build is offline: no tokio, no serde; every string goes through
+//! `rtpf_engine::json_escape`). Endpoints:
 //!
 //! | endpoint    | method | body                                  |
 //! |-------------|--------|---------------------------------------|
@@ -19,7 +19,8 @@
 //! Responses are byte-identical to the library path (see
 //! `ServiceResponse::to_json`); the golden tests in `tests/` pin that,
 //! and `loadgen` (in `crates/bench`) proves exactly-once compute under
-//! concurrent mixed load via the `/metrics` counters.
+//! concurrent mixed load via the `/metrics` counters. The daemon's
+//! benchmark is `perfbench`'s `serve` workload (`BENCHMARK.json`).
 //!
 //! DESIGN.md §15 documents the architecture: store shards, single-flight
 //! protocol, LRU byte bounds, the on-disk lease, and the drain sequence.

@@ -21,7 +21,7 @@
 //! from the endpoint path, not the body.
 
 use rtpf_engine::{
-    ConfigSpec, ProgramSource, ServiceError, ServiceOp, ServiceProfile, ServiceRequest,
+    json_escape, ConfigSpec, ProgramSource, ServiceError, ServiceOp, ServiceProfile, ServiceRequest,
 };
 
 use crate::json::Value;
@@ -124,28 +124,21 @@ pub fn decode_request(op: &str, body: &[u8]) -> Result<ServiceRequest, ServiceEr
 /// Renders a [`ServiceRequest`] as a request body — the client half of
 /// the wire format, used by `loadgen` and the golden tests.
 pub fn encode_request(req: &ServiceRequest) -> String {
-    let escape = |s: &str| {
-        s.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
-            .replace('\r', "\\r")
-            .replace('\t', "\\t")
-    };
     let program = match &req.program {
-        ProgramSource::Spec(spec) => format!("\"program\": \"{}\"", escape(spec)),
+        ProgramSource::Spec(spec) => format!("\"program\": \"{}\"", json_escape(spec)),
         ProgramSource::Inline { name, text } => format!(
             "\"source\": {{\"name\": \"{}\", \"text\": \"{}\"}}",
-            escape(name),
-            escape(text)
+            json_escape(name),
+            json_escape(text)
         ),
     };
     let mut config = format!(
         "\"cache\": \"{}\", \"profile\": \"{}\"",
-        escape(&req.config.cache),
+        json_escape(&req.config.cache),
         req.config.profile.name()
     );
     if let Some(l2) = &req.config.l2 {
-        config.push_str(&format!(", \"l2\": \"{}\"", escape(l2)));
+        config.push_str(&format!(", \"l2\": \"{}\"", json_escape(l2)));
     }
     if let Some(p) = req.config.penalty {
         config.push_str(&format!(", \"penalty\": {p}"));
@@ -185,7 +178,8 @@ mod tests {
         let req = ServiceRequest {
             op: ServiceOp::Audit,
             program: ProgramSource::Inline {
-                name: "tiny".to_string(),
+                // Every character class the escaper must handle.
+                name: "t\ti\u{1}n\"y\\".to_string(),
                 text: "program tiny\ncode 8\nloop 4 { code 6 }\n".to_string(),
             },
             config: ConfigSpec {

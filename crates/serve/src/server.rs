@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
-use rtpf_engine::{ArtifactStore, ServiceCore, ServiceError, StoreConfig};
+use rtpf_engine::{json_escape, ArtifactStore, ServiceCore, ServiceError, StoreConfig};
 
 use crate::http::{read_request, write_response, Request};
 use crate::request::decode_request;
@@ -246,8 +246,7 @@ fn serve_connection(
             // Clean keep-alive teardown by the peer.
             Ok(None) => return,
             Err(e) => {
-                let body = format!("{{\"error\": \"{}\"}}", e.to_string().replace('"', "'"));
-                let _ = write_response(&mut writer, 400, &body, false);
+                let _ = write_response(&mut writer, 400, &error_body(&e), false);
                 return;
             }
         };
@@ -310,10 +309,5 @@ fn route(
 }
 
 fn error_body(e: &impl std::fmt::Display) -> String {
-    let msg = e
-        .to_string()
-        .replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n");
-    format!("{{\"error\": \"{msg}\"}}")
+    format!("{{\"error\": \"{}\"}}", json_escape(&e.to_string()))
 }

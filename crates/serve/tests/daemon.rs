@@ -1,8 +1,8 @@
 //! End-to-end daemon tests: golden byte-identity against the library
-//! path, warm-pass cache behavior, protocol errors, and graceful
-//! shutdown.
+//! path, warm-pass cache behavior, exactly-once compute under concurrent
+//! duplicates, protocol errors, and graceful shutdown.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -12,6 +12,7 @@ use rtpf_engine::{
     ServiceRequest,
 };
 use rtpf_serve::http::{request, ClientResponse};
+use rtpf_serve::json::Value;
 use rtpf_serve::{encode_request, Daemon, DaemonConfig};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -37,6 +38,18 @@ impl Running {
 
     fn get(&self, path: &str) -> ClientResponse {
         request(self.addr.as_str(), path, None, TIMEOUT).expect("request succeeds")
+    }
+
+    /// The store's miss counter, as `/metrics` reports it over HTTP.
+    fn misses(&self) -> u64 {
+        let resp = self.get("/metrics");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        Value::parse(&resp.body)
+            .expect("metrics json parses")
+            .get("store")
+            .and_then(|s| s.get("misses"))
+            .and_then(Value::as_u64)
+            .expect("metrics carries store.misses")
     }
 
     fn shutdown(self) {
@@ -133,6 +146,85 @@ fn warm_requests_hit_the_cache_and_metrics_show_it() {
     server.shutdown();
 }
 
+/// Fires every request from `clients` threads at once (each thread walks
+/// the list from its own offset, so copies of one request overlap) and
+/// returns, per request, the bodies of all its copies.
+fn fire_duplicates(
+    server: &Running,
+    wire: &[(String, String)],
+    clients: usize,
+) -> Vec<Vec<String>> {
+    let barrier = Arc::new(Barrier::new(clients));
+    let threads: Vec<_> = (0..clients)
+        .map(|c| {
+            let barrier = Arc::clone(&barrier);
+            let addr = server.addr.clone();
+            let wire = wire.to_vec();
+            thread::spawn(move || {
+                barrier.wait();
+                let mut bodies = vec![String::new(); wire.len()];
+                for k in 0..wire.len() {
+                    let i = (c + k) % wire.len();
+                    let (path, body) = &wire[i];
+                    let resp = request(addr.as_str(), path, Some(body), TIMEOUT)
+                        .expect("request succeeds");
+                    assert_eq!(resp.status, 200, "{path}: {}", resp.body);
+                    bodies[i] = resp.body;
+                }
+                bodies
+            })
+        })
+        .collect();
+    let mut per_request = vec![Vec::new(); wire.len()];
+    for t in threads {
+        for (i, body) in t.join().expect("client joins").into_iter().enumerate() {
+            per_request[i].push(body);
+        }
+    }
+    per_request
+}
+
+/// The single-flight guarantee over HTTP: concurrent duplicates of every
+/// operation compute each distinct artifact exactly once, a warm pass
+/// computes nothing, and every copy of a request gets the same bytes.
+#[test]
+fn concurrent_duplicates_compute_each_artifact_exactly_once() {
+    let server = Running::start(DaemonConfig {
+        workers: 2,
+        ..DaemonConfig::default()
+    });
+    let programs = ["bs", "fft1"];
+    let mut wire = Vec::new();
+    for program in programs {
+        for op in [
+            ServiceOp::Analyze,
+            ServiceOp::Optimize,
+            ServiceOp::Audit,
+            ServiceOp::Simulate,
+        ] {
+            let req = service_request(op, program, "2:16:512");
+            wire.push((format!("/{}", op.name()), encode_request(&req)));
+        }
+    }
+
+    // Per program: one Analyze artifact (shared by analyze and audit),
+    // one Optimize and one Verify (the optimize op), one Simulate.
+    let m0 = server.misses();
+    let cold = fire_duplicates(&server, &wire, 16);
+    let m1 = server.misses();
+    assert_eq!(m1 - m0, 4 * programs.len() as u64, "cold miss delta");
+    let warm = fire_duplicates(&server, &wire, 16);
+    assert_eq!(server.misses(), m1, "the warm pass recomputed a stage");
+
+    for (i, (path, _)) in wire.iter().enumerate() {
+        let first = &cold[i][0];
+        for body in cold[i].iter().chain(&warm[i]) {
+            assert_eq!(body, first, "{path}: duplicate responses differ");
+        }
+    }
+    server.shutdown();
+}
+
 #[test]
 fn inline_source_and_profiles_are_served() {
     let server = Running::start(DaemonConfig::default());
@@ -168,6 +260,28 @@ fn protocol_errors_use_the_right_status_codes() {
     assert_eq!(server.post("/analyze", &bad_cache).status, 400);
     let unknown = encode_request(&service_request(ServiceOp::Analyze, "doom", "2:16:512"));
     assert_eq!(server.post("/analyze", &unknown).status, 500);
+    server.shutdown();
+}
+
+/// Error bodies are valid JSON even when the message echoes control
+/// characters, quotes and backslashes from the request.
+#[test]
+fn error_bodies_escape_every_character_the_request_echoes() {
+    let server = Running::start(DaemonConfig::default());
+    let name = "a\tb\u{1}\"c\\d";
+    // Written out by hand, so only the daemon's escaping is under test.
+    let body = r#"{"program": "suite:a\tb\u0001\"c\\d", "config": {"cache": "2:16:512"}}"#;
+    let resp = server.post("/analyze", body);
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    let doc = Value::parse(&resp.body).expect("error body is valid JSON");
+    let error = doc
+        .get("error")
+        .and_then(Value::as_str)
+        .expect("error string");
+    assert!(
+        error.contains(name),
+        "{error:?} must echo {name:?} verbatim"
+    );
     server.shutdown();
 }
 
