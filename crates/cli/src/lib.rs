@@ -395,7 +395,7 @@ commands:
            [--deny warnings|RTPF0xx] [--allow RTPF0xx] [-v]
   fmt      <file>                           # parse + pretty-print
   suite                                     # list built-in benchmarks
-  serve    [--addr HOST:PORT] [--workers N] [--queue N] [--store-dir PATH]
+  serve    [--addr HOST:PORT] [--workers N] [--queue N]
            [--max-bytes N] [--shards N] [--port-file PATH]
                                             # run the rtpfd daemon
 

@@ -21,8 +21,8 @@ pub struct OptimizeParams {
     pub max_singles_per_round: u32,
     /// Enforce the effectiveness condition (Definition 10). Disabling it
     /// mimics the WCET-only prior work (paper ref [5]) that inserts the
-    /// prefetch without checking that `Λ` fits before the use — the
-    /// `ablation_criterion` benchmark measures what that costs.
+    /// prefetch without checking that `Λ` fits before the use — ablation 1
+    /// of `rtpf-experiments --bin ablations` shows what that changes.
     pub check_effectiveness: bool,
     /// Re-analyse each verification candidate incrementally from the
     /// current accepted analysis (identical results, much cheaper) instead

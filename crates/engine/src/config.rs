@@ -200,19 +200,6 @@ impl EngineConfig {
         self
     }
 
-    /// Overrides the one-at-a-time verification budget per round (fixed
-    /// policy only, like [`with_rounds`](EngineConfig::with_rounds)).
-    pub fn with_singles(mut self, singles: u32) -> EngineConfig {
-        if let OptimizePolicy::Fixed {
-            max_singles_per_round,
-            ..
-        } = &mut self.policy
-        {
-            *max_singles_per_round = singles;
-        }
-        self
-    }
-
     /// Disables the effectiveness condition (Definition 10) — the WCET-only
     /// ablation of prior work.
     pub fn with_check_effectiveness(mut self, check: bool) -> EngineConfig {

@@ -1,6 +1,6 @@
 //! rtpf-engine: the unified analysis pipeline.
 //!
-//! Every front end (CLI, experiments, benches, audits) drives the same
+//! Every front end (CLI, experiments, daemon, audits) drives the same
 //! staged pipeline — `Parse → Analyze (CFG/loops/layout, VIVU, classify,
 //! IPET) → Optimize → Verify → Simulate → Energy` — through one
 //! [`Engine`] built from one [`EngineConfig`]. Stages are pure functions

@@ -1,5 +1,4 @@
-//! Result-quality ablations of the design choices DESIGN.md calls out
-//! (their *runtime* costs are measured by `cargo bench -p rtpf-bench`):
+//! Result-quality ablations of the design choices DESIGN.md calls out:
 //!
 //! 1. effectiveness check on/off — does ignoring the latency window (the
 //!    WCET-only prior work, paper ref [5]) change the outcome?

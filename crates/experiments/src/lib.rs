@@ -48,8 +48,7 @@ pub fn engine_for(config: CacheConfig) -> Engine {
 
 /// [`engine_for`] with an explicit analysis worker-thread count (`0` = one
 /// per core). Outputs are byte-identical at any count (DESIGN.md §13);
-/// the determinism tests and benches use this to pit thread counts against
-/// each other.
+/// the determinism tests use this to pit thread counts against each other.
 pub fn engine_with_threads(config: CacheConfig, threads: usize) -> Engine {
     Engine::new(EngineConfig::evaluation(config).with_threads(threads))
 }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! rtpfd [--addr HOST:PORT] [--workers N] [--queue N]
-//!       [--store-dir PATH] [--max-bytes N] [--shards N]
-//!       [--port-file PATH]
+//!       [--max-bytes N] [--shards N] [--port-file PATH]
 //! ```
 //!
 //! Binds (port 0 picks an ephemeral port), optionally writes the bound

@@ -5,7 +5,7 @@ use crate::{Daemon, DaemonConfig};
 
 /// Flag summary for `--help` and error messages.
 pub const SERVE_USAGE: &str = "[--addr HOST:PORT] [--workers N] [--queue N]\n\
-     \x20 [--store-dir PATH] [--max-bytes N] [--shards N] [--port-file PATH]";
+     \x20 [--max-bytes N] [--shards N] [--port-file PATH]";
 
 /// Parses the daemon flag set (everything after the binary/subcommand
 /// name). Returns the configuration plus the `--port-file` path.
@@ -32,7 +32,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<(DaemonConfig, Option<String>
             "--addr" => config.addr = value.clone(),
             "--workers" => config.workers = num(value)? as usize,
             "--queue" => config.queue = num(value)? as usize,
-            "--store-dir" => config.store.disk_root = Some(value.into()),
             "--max-bytes" => config.store.max_bytes = Some(num(value)?),
             "--shards" => config.store.shards = num(value)? as usize,
             "--port-file" => port_file = Some(value.clone()),
@@ -76,8 +75,6 @@ mod tests {
             "8",
             "--queue",
             "64",
-            "--store-dir",
-            "/tmp/s",
             "--max-bytes",
             "1048576",
             "--shards",
@@ -91,10 +88,6 @@ mod tests {
         let (config, port_file) = parse_serve_args(&args).expect("parses");
         assert_eq!(config.addr, "0.0.0.0:7070");
         assert_eq!((config.workers, config.queue), (8, 64));
-        assert_eq!(
-            config.store.disk_root.as_deref(),
-            Some(std::path::Path::new("/tmp/s"))
-        );
         assert_eq!(config.store.max_bytes, Some(1_048_576));
         assert_eq!(config.store.shards, 4);
         assert_eq!(port_file.as_deref(), Some("/tmp/p"));
@@ -106,5 +99,6 @@ mod tests {
         assert!(parse_serve_args(&s(&["--warp"])).is_err());
         assert!(parse_serve_args(&s(&["--workers"])).is_err());
         assert!(parse_serve_args(&s(&["--workers", "many"])).is_err());
+        assert!(parse_serve_args(&s(&["--store-dir", "/tmp/s"])).is_err());
     }
 }

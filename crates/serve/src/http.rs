@@ -37,8 +37,20 @@ pub struct Request {
 /// Malformed framing or a request exceeding the size limits.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
     let bad = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
+    // Every head line is read through a `take` of the bytes the cap still
+    // allows, so no line — newline or not — is buffered past
+    // `MAX_HEAD_BYTES`.
+    let mut head_left = MAX_HEAD_BYTES as u64;
+    let mut read_head_line = |line: &mut String| -> io::Result<usize> {
+        let n = reader.by_ref().take(head_left).read_line(line)?;
+        head_left -= n as u64;
+        if head_left == 0 && !line.ends_with('\n') {
+            return Err(bad("request head too large"));
+        }
+        Ok(n)
+    };
     let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    if read_head_line(&mut line)? == 0 {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -52,18 +64,13 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Requ
     if !version.starts_with("HTTP/1.") {
         return Err(bad("unsupported HTTP version"));
     }
-    let mut head_bytes = line.len();
     let mut content_length = 0usize;
     // HTTP/1.1 defaults to keep-alive unless the client opts out.
     let mut keep_alive = !version.ends_with("1.0");
     loop {
         let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
+        if read_head_line(&mut header)? == 0 {
             return Err(bad("connection closed mid-headers"));
-        }
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(bad("request head too large"));
         }
         let header = header.trim_end();
         if header.is_empty() {

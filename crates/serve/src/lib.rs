@@ -18,7 +18,7 @@
 //!
 //! Responses are byte-identical to the library path (see
 //! `ServiceResponse::to_json`); the golden tests in `tests/` pin that,
-//! and `loadgen` (in `crates/bench`) proves exactly-once compute under
+//! and the crate's `loadgen` binary proves exactly-once compute under
 //! concurrent mixed load via the `/metrics` counters. The daemon's
 //! benchmark is `perfbench`'s `serve` workload (`BENCHMARK.json`).
 //!

@@ -2,6 +2,8 @@
 //! path, warm-pass cache behavior, exactly-once compute under concurrent
 //! duplicates, protocol errors, and graceful shutdown.
 
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -260,6 +262,40 @@ fn protocol_errors_use_the_right_status_codes() {
     assert_eq!(server.post("/analyze", &bad_cache).status, 400);
     let unknown = encode_request(&service_request(ServiceOp::Analyze, "doom", "2:16:512"));
     assert_eq!(server.post("/analyze", &unknown).status, 500);
+    server.shutdown();
+}
+
+/// A head line that never ends is cut off at the head cap: the client
+/// sees a 400 or a closed connection instead of a worker buffering its
+/// bytes for as long as it stays connected.
+#[test]
+fn an_endless_head_line_is_rejected_at_the_head_cap() {
+    let server = Running::start(DaemonConfig {
+        workers: 2,
+        ..DaemonConfig::default()
+    });
+    let mut conn = TcpStream::connect(server.addr.as_str()).expect("connects");
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("sets timeout");
+    // The daemon may reset the connection before it has read all of this.
+    let _ = conn.write_all(&[b'A'; 64 * 1024]);
+    let mut reply = Vec::new();
+    match conn.read_to_end(&mut reply) {
+        Ok(_) => assert!(
+            reply.is_empty() || reply.starts_with(b"HTTP/1.1 400"),
+            "{}",
+            String::from_utf8_lossy(&reply)
+        ),
+        Err(e) => assert!(
+            matches!(
+                e.kind(),
+                ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted
+            ),
+            "the daemon must answer or close within 5 s, got {e}"
+        ),
+    }
+    assert_eq!(server.get("/healthz").status, 200);
+    drop(conn);
     server.shutdown();
 }
 

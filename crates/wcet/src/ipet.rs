@@ -148,14 +148,27 @@ mod tests {
         v.nodes().iter().map(|n| n.mult).collect()
     }
 
+    /// One loop, then `loop 10 { n × (loop 6 { code 12 }; code 5) }` for
+    /// n = 2, 4, 8.
     #[test]
     fn dag_and_ilp_agree_on_a_loop() {
-        let p = Shape::loop_(10, Shape::code(5)).compile("l");
-        let v = VivuGraph::build(&p).unwrap();
-        let w = weights_all_one_times_mult(&v);
-        let dag = solve_dag(&v, &w).unwrap();
-        let ilp = solve_ilp(&v, &w).unwrap();
-        assert_eq!(dag.tau_w, ilp);
+        let inner = || Shape::seq([Shape::loop_(6, Shape::code(12)), Shape::code(5)]);
+        let sequenced =
+            |n| Shape::loop_(10, Shape::seq((0..n).map(|_| inner()).collect::<Vec<_>>()));
+        let shapes = [
+            Shape::loop_(10, Shape::code(5)),
+            sequenced(2),
+            sequenced(4),
+            sequenced(8),
+        ];
+        for (i, shape) in shapes.into_iter().enumerate() {
+            let p = shape.compile("l");
+            let v = VivuGraph::build(&p).unwrap();
+            let w = weights_all_one_times_mult(&v);
+            let dag = solve_dag(&v, &w).unwrap();
+            let ilp = solve_ilp(&v, &w).unwrap();
+            assert_eq!(dag.tau_w, ilp, "shape {i}");
+        }
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! Collected by [`WcetAnalysis`](crate::WcetAnalysis) on every run (full or
 //! incremental), aggregated by the optimizer across all analyses of an
-//! optimization run, and surfaced by `rtpf sweep --profile` and the
-//! criterion benches. All counters are plain `u64`s so profiles are `Copy`
+//! optimization run, and surfaced by `rtpf sweep --profile` and
+//! `perfbench`'s traced runs. All counters are plain `u64`s so profiles are `Copy`
 //! and can be summed field-wise with [`AnalysisProfile::add`].
 
 use std::fmt;
