@@ -464,10 +464,10 @@ impl DiagnosticSink {
             let mut o = String::new();
             let _ = write!(
                 o,
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"program\":{}",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"program\":\"{}\"",
                 d.code,
                 d.severity,
-                json_str(&d.span.program)
+                json_escape(&d.span.program)
             );
             if let Some(b) = d.span.block {
                 let _ = write!(o, ",\"block\":{}", b.index());
@@ -476,11 +476,11 @@ impl DiagnosticSink {
                 let _ = write!(o, ",\"instr\":{}", i.index());
             }
             if let Some(k) = &d.span.config {
-                let _ = write!(o, ",\"config\":{}", json_str(k));
+                let _ = write!(o, ",\"config\":\"{}\"", json_escape(k));
             }
-            let _ = write!(o, ",\"message\":{}", json_str(&d.message));
+            let _ = write!(o, ",\"message\":\"{}\"", json_escape(&d.message));
             if let Some(h) = &d.help {
-                let _ = write!(o, ",\"help\":{}", json_str(h));
+                let _ = write!(o, ",\"help\":\"{}\"", json_escape(h));
             }
             o.push('}');
             let _ = writeln!(s, "{o}");
@@ -489,12 +489,13 @@ impl DiagnosticSink {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
+/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
+/// and every control character, so any parser that follows RFC 8259
+/// reads the text back verbatim.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
@@ -506,7 +507,6 @@ fn json_str(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 

@@ -37,7 +37,9 @@ pub mod ir;
 pub mod soundness;
 pub mod transform;
 
-pub use diag::{Code, Diagnostic, DiagnosticSink, Level, Severity, SeverityConfig, Span};
+pub use diag::{
+    json_escape, Code, Diagnostic, DiagnosticSink, Level, Severity, SeverityConfig, Span,
+};
 pub use ir::{audit_ir, audit_layout};
 pub use soundness::{
     audit_hierarchy_soundness, audit_hierarchy_soundness_forced, audit_soundness,

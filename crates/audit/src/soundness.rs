@@ -3,8 +3,8 @@
 //! The must/may classification promises: an *always-hit* reference hits in
 //! **every** execution, an *always-miss* reference never hits. Following
 //! Touzeau et al.'s cross-checking methodology, this pass drives the
-//! concrete LRU cache ([`ConcreteState`]) down feasible paths of the VIVU
-//! context graph — the exact graph the abstract fixpoint ran on — and
+//! concrete LRU cache ([`rtpf_cache::ConcreteState`]) down feasible paths
+//! of the VIVU context graph — the exact graph the abstract fixpoint ran on — and
 //! compares per-reference outcomes:
 //!
 //! * an always-hit reference that concretely misses is a genuine

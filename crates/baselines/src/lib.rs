@@ -1,10 +1,10 @@
 //! Comparator baselines from the paper's related work (§2).
 //!
 //! * [`hw`] — hardware prefetching: sequential **next-line** prefetch in
-//!   its three classic flavours (*always*, *on-miss*, *tagged*, ref [18]),
+//!   its three classic flavours (*always*, *on-miss*, *tagged*, ref \[18\]),
 //!   the **next-N-line** generalization, **target prefetching** with a
-//!   reference prediction table (ref [19]), and **wrong-path** prefetching
-//!   (both branch directions, ref [13]);
+//!   reference prediction table (ref \[19\]), and **wrong-path** prefetching
+//!   (both branch directions, ref \[13\]);
 //! * [`locking`] — **static cache locking** (refs [4, 14]): select the
 //!   most WCET-valuable blocks, lock them in, and let everything else
 //!   bypass the cache. Fully predictable, but it trades performance (and,

@@ -2,7 +2,7 @@
 //! over the replacement policy (LRU, FIFO, tree-PLRU).
 //!
 //! This crate substitutes for the cache semantics of Ferdinand & Wilhelm
-//! (reference [8] of the paper) that the authors' WCET analyzer builds on,
+//! (reference \[8\] of the paper) that the authors' WCET analyzer builds on,
 //! extended with a [`ReplacementPolicy`] axis:
 //!
 //! * [`CacheConfig`] — geometry `(associativity, block bytes, capacity)`

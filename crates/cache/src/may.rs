@@ -24,7 +24,7 @@ use crate::policy::ReplacementPolicy;
 /// Abstract may cache state.
 ///
 /// Stored as a single sorted vector of packed `(set, block, age)` words —
-/// the same layout as [`crate::MustState`]; see [`crate::packed`] and
+/// the same layout as [`crate::MustState`]; see the `packed` module and
 /// DESIGN.md §11. In the unbounded domain ages are always 0 and the
 /// update degenerates to a sorted-set insert on the packed keys.
 ///
@@ -44,7 +44,7 @@ pub struct MayState {
 impl MayState {
     /// The empty may state (nothing possibly cached): the correct entry
     /// state for a cold cache. A bounded effective associativity too wide
-    /// for the packed age lane ([`packed::MAX_AGE`]) widens to
+    /// for the packed age lane (`packed::MAX_AGE`) widens to
     /// [`ReplacementPolicy::UNBOUNDED`] — never ruling out eviction is
     /// sound, it merely classifies fewer always-misses.
     ///

@@ -4,7 +4,7 @@
 //! logical age (0 = most recently accessed). A block present in the must
 //! state is present in **every** concrete state the abstract state
 //! represents, so a reference to it is an *always hit*. Update and join
-//! follow Ferdinand's abstract LRU semantics (reference [8] of the paper).
+//! follow Ferdinand's abstract LRU semantics (reference \[8\] of the paper).
 //!
 //! The domain is policy-generic through the configuration's
 //! [`ReplacementPolicy`](crate::ReplacementPolicy): for LRU it runs at the
@@ -25,7 +25,7 @@ use crate::packed;
 /// Abstract must cache state.
 ///
 /// Stored as a single sorted vector of packed `(set, block, age)` words —
-/// see the [`crate::packed`] module for the lane layout and DESIGN.md §11
+/// see the `packed` module for the lane layout and DESIGN.md §11
 /// for the rationale. One `u64` per guaranteed block halves the footprint
 /// of the old `(MemBlockId, u32)` pairs, same-set entries sit contiguously
 /// so an update only touches its set's short run, joins reduce to sorted
@@ -76,7 +76,7 @@ impl MustState {
     /// The empty must state (nothing guaranteed cached) — also the analysis
     /// top for joins and the correct entry state (`ĉ_I`). Runs at the
     /// policy's effective associativity (the real one for LRU), clamped to
-    /// the packed age lane's width ([`packed::MAX_AGE`]) — running must at
+    /// the packed age lane's width (`packed::MAX_AGE`) — running must at
     /// fewer ways is always sound, it merely guarantees less.
     ///
     /// `const`: the no-information state for a given configuration can live
@@ -254,7 +254,7 @@ impl MustState {
         self.words.insert(hi, carry);
     }
 
-    /// Must join (Definition in [8]): keep only blocks present on **both**
+    /// Must join (Definition in \[8\]): keep only blocks present on **both**
     /// sides, at their *maximal* age. Identical states (the common case at
     /// a converged fixpoint) short-circuit via a word-wise `memcmp`.
     pub fn join(&self, other: &MustState) -> MustState {

@@ -26,12 +26,14 @@ pub struct MemTiming {
 
 impl MemTiming {
     /// A typical embedded configuration: 1-cycle hits, `penalty`-cycle
-    /// misses, prefetch latency equal to the miss time.
+    /// misses, prefetch latency equal to the miss time. The miss time
+    /// saturates at `u64::MAX` rather than wrapping.
     pub fn with_miss_penalty(penalty: u64) -> Self {
+        let miss_cycles = penalty.saturating_add(1);
         MemTiming {
             hit_cycles: 1,
-            miss_cycles: 1 + penalty,
-            prefetch_latency: 1 + penalty,
+            miss_cycles,
+            prefetch_latency: miss_cycles,
             l2_hit_cycles: None,
         }
     }

@@ -14,17 +14,24 @@
 //! ```
 //!
 //! Every command drives the shared [`rtpf_engine`] pipeline: flags are
-//! folded into an [`EngineConfig`] profile and the command pulls the
-//! stage artifacts it needs. All command logic lives in this library
-//! (returning strings) so it is unit-testable; `main.rs` only does I/O.
+//! folded into an [`EngineConfig`] profile. `analyze`, `optimize` and
+//! `simulate` hand it to [`ServiceCore::serve`] — the compute path the
+//! `rtpfd` daemon mounts — and render the response's artifacts as text;
+//! `sweep` and `audit` drive engines of their own. All command logic
+//! lives in this library (returning strings) so it is unit-testable;
+//! `main.rs` only does I/O.
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use rtpf_audit::{Code, DiagnosticSink, Level, Severity, SeverityConfig, SoundnessOptions, Span};
 use rtpf_cache::{CacheConfig, RefineConfig, ReplacementPolicy, SpecError};
-use rtpf_engine::{Engine, EngineConfig, EngineError};
+use rtpf_engine::{
+    ArtifactStore, Engine, EngineConfig, EngineError, ProgramSource, ResponseBody, ServiceCore,
+    ServiceOp, ServiceResponse,
+};
 use rtpf_isa::{InstrKind, Program};
 use rtpf_sim::BranchBehavior;
 
@@ -208,14 +215,14 @@ impl Options {
                     });
                 }
                 "--refine-budget" => {
-                    o.refine_budget = Some(parse_num(it.next(), "--refine-budget")? as u32);
+                    o.refine_budget = Some(parse_num(it.next(), "--refine-budget")?);
                 }
                 "--penalty" => {
                     o.penalty = Some(parse_num(it.next(), "--penalty")?);
                 }
-                "--runs" => o.runs = Some(parse_num(it.next(), "--runs")? as u32),
+                "--runs" => o.runs = Some(parse_num(it.next(), "--runs")?),
                 "--seed" => o.seed = Some(parse_num(it.next(), "--seed")?),
-                "--rounds" => o.rounds = Some(parse_num(it.next(), "--rounds")? as u32),
+                "--rounds" => o.rounds = Some(parse_num(it.next(), "--rounds")?),
                 "--behavior" => {
                     let v = it
                         .next()
@@ -229,14 +236,14 @@ impl Options {
                 "--verbose" | "-v" => o.verbose = true,
                 "--profile" => o.profile = true,
                 "--shards" => {
-                    let n = parse_num(it.next(), "--shards")? as usize;
+                    let n: usize = parse_num(it.next(), "--shards")?;
                     if n == 0 {
                         return Err(err("--shards wants at least 1"));
                     }
                     o.shards = Some(n);
                 }
                 "--threads" => {
-                    o.threads = Some(parse_num(it.next(), "--threads")? as usize);
+                    o.threads = Some(parse_num(it.next(), "--threads")?);
                 }
                 "--json" => o.json = true,
                 "--optimize" => o.optimize = true,
@@ -357,7 +364,9 @@ impl Options {
     }
 }
 
-fn parse_num(v: Option<&String>, flag: &str) -> Result<u64, CliError> {
+/// Parses a numeric flag value at the flag's own width: an out-of-range
+/// value is a usage error, never a truncation.
+fn parse_num<T: std::str::FromStr>(v: Option<&String>, flag: &str) -> Result<T, CliError> {
     let v = v.ok_or_else(|| err(format!("{flag} needs a number")))?;
     v.parse().map_err(|_| err(format!("bad {flag} value {v}")))
 }
@@ -395,9 +404,6 @@ commands:
            [--deny warnings|RTPF0xx] [--allow RTPF0xx] [-v]
   fmt      <file>                           # parse + pretty-print
   suite                                     # list built-in benchmarks
-  serve    [--addr HOST:PORT] [--workers N] [--queue N]
-           [--max-bytes N] [--shards N] [--port-file PATH]
-                                            # run the rtpfd daemon
 
 the program format is documented in `rtpf_isa::text`; `suite:NAME` loads a
 built-in Mälardalen skeleton (see `rtpf suite`). `--policy` selects the
@@ -414,19 +420,9 @@ worker threads per engine (0 = one per core; results are byte-identical
 at any count, DESIGN.md §13). `audit` runs the IR lints and
 the abstract-vs-concrete soundness audit (plus the transform audit with
 --optimize) over every Table 2 configuration unless --cache narrows it;
-deny-level findings make the command fail. `serve` starts the analysis
-daemon (same entry point as the `rtpfd` binary, DESIGN.md §15): HTTP/1.1
-+ JSON endpoints whose responses are byte-identical to the library
-path, backed by the shared single-flight artifact store.";
-
-/// Loads a program from `path` or `suite:NAME`.
-///
-/// # Errors
-///
-/// Fails when the file is unreadable/malformed or the suite name unknown.
-pub fn load_program(spec: &str) -> Result<(String, Program), CliError> {
-    Ok(rtpf_engine::load_program(spec)?)
-}
+deny-level findings make the command fail. `analyze`, `optimize` and
+`simulate` compute through the same service core as the `rtpfd` analysis
+daemon (DESIGN.md §15) and render its response as text.";
 
 /// Executes a parsed command, returning the output to print.
 ///
@@ -453,12 +449,29 @@ fn spec_of(o: &Options) -> Result<&str, CliError> {
         .ok_or_else(|| err("this command needs a program (a file or suite:NAME)"))
 }
 
+/// Serves `op` for the command's program under its engine profile on a
+/// [`ServiceCore`] over a fresh in-memory store — the same compute path
+/// the daemon mounts. Returns the engine that served it alongside the
+/// response, for the renderers.
+fn serve(o: &Options, op: ServiceOp) -> Result<(Arc<Engine>, ServiceResponse), CliError> {
+    let program = ProgramSource::Spec(spec_of(o)?.to_string());
+    let config = o.engine_config(o.cache_config()?)?;
+    let core = ServiceCore::new(Arc::new(ArtifactStore::in_memory()));
+    let resp = core.serve(op, &program, config.clone())?;
+    Ok((core.engine_for(config), resp))
+}
+
 fn cmd_analyze(o: &Options) -> Result<String, CliError> {
-    let (name, p) = load_program(spec_of(o)?)?;
-    let engine = Engine::new(o.engine_config(o.cache_config()?)?);
-    let config = *engine.config().cache();
-    let timing = engine.config().timing();
-    let a = engine.analysis(&p)?;
+    let (engine, resp) = serve(o, ServiceOp::Analyze)?;
+    let cfg = engine.config();
+    let ResponseBody::Analyze {
+        program: p,
+        analysis: a,
+    } = &resp.body
+    else {
+        unreachable!("analyze serves an analyze body")
+    };
+    let (name, config, timing) = (&resp.program, cfg.cache(), cfg.timing());
     let (hit, miss, unk) = a.classification_counts();
     let mut s = String::new();
     let _ = writeln!(
@@ -468,7 +481,7 @@ fn cmd_analyze(o: &Options) -> Result<String, CliError> {
         p.code_bytes()
     );
     let _ = writeln!(s, "cache {config} ({} sets), {timing}", config.n_sets());
-    if let Some(l2) = engine.config().l2() {
+    if let Some(l2) = cfg.l2() {
         let _ = writeln!(s, "L2 {l2} ({} sets), unified behind L1", l2.n_sets());
     }
     let _ = writeln!(
@@ -501,7 +514,7 @@ fn cmd_analyze(o: &Options) -> Result<String, CliError> {
         a.wcet_accesses(),
         a.wcet_misses()
     );
-    let pr = rtpf_wcet::persistence_report(&p, &a);
+    let pr = rtpf_wcet::persistence_report(p, a);
     if pr.first_miss_refs > 0 {
         let _ = writeln!(
             s,
@@ -516,11 +529,11 @@ fn cmd_analyze(o: &Options) -> Result<String, CliError> {
 }
 
 fn cmd_optimize(o: &Options) -> Result<String, CliError> {
-    let (name, p) = load_program(spec_of(o)?)?;
-    let engine = Engine::new(o.engine_config(o.cache_config()?)?);
-    let config = *engine.config().cache();
-    let (r, theorem) = engine.verified(&p)?;
-
+    let (engine, resp) = serve(o, ServiceOp::Optimize)?;
+    let ResponseBody::Optimize { result: r, theorem } = &resp.body else {
+        unreachable!("optimize serves an optimize body")
+    };
+    let (name, config) = (&resp.program, engine.config().cache());
     let mut s = String::new();
     let rep = &r.report;
     let _ = writeln!(s, "program {name} on {config}:");
@@ -565,13 +578,15 @@ fn cmd_optimize(o: &Options) -> Result<String, CliError> {
 }
 
 fn cmd_simulate(o: &Options) -> Result<String, CliError> {
-    let (name, p) = load_program(spec_of(o)?)?;
-    let engine = Engine::new(o.engine_config(o.cache_config()?)?);
-    let config = *engine.config().cache();
-    let run = engine.simulated(&p)?;
-    let [e45, e32] = engine.energies(&run);
+    let (engine, resp) = serve(o, ServiceOp::Simulate)?;
+    let cfg = engine.config();
+    let ResponseBody::Simulate(run) = &resp.body else {
+        unreachable!("simulate serves a simulate body")
+    };
+    let (name, config) = (&resp.program, cfg.cache());
+    let [e45, e32] = engine.energies(run);
     let mut s = String::new();
-    match engine.config().l2() {
+    match cfg.l2() {
         Some(l2) => {
             let _ = writeln!(
                 s,
@@ -592,7 +607,7 @@ fn cmd_simulate(o: &Options) -> Result<String, CliError> {
         run.stats.misses,
         100.0 * run.miss_rate()
     );
-    if engine.config().l2().is_some() {
+    if cfg.l2().is_some() {
         let _ = writeln!(
             s,
             "  L2: accesses {} | hits {} | misses {} (fills {})",
@@ -614,7 +629,7 @@ fn cmd_simulate(o: &Options) -> Result<String, CliError> {
 }
 
 fn cmd_sweep(o: &Options) -> Result<String, CliError> {
-    let (name, p) = load_program(spec_of(o)?)?;
+    let (name, p) = rtpf_engine::load_program(spec_of(o)?)?;
     let mut s = String::new();
     let _ = writeln!(
         s,
@@ -752,7 +767,7 @@ fn cmd_audit(o: &Options) -> Result<String, CliError> {
             .map(|b| (b.name.to_string(), b.program))
             .collect()
     } else {
-        vec![load_program(spec)?]
+        vec![rtpf_engine::load_program(spec)?]
     };
     let configs: Vec<(String, CacheConfig)> = match o.cache {
         Some(_) => vec![("cli".to_string(), o.cache_config()?)],
@@ -910,6 +925,30 @@ mod tests {
         assert_eq!(o.penalty, Some(30));
         assert_eq!(o.rounds, Some(5));
         assert!(o.verbose);
+    }
+
+    /// A value one past the flag's width is the usage error a malformed
+    /// value gets; the width's maximum still parses.
+    fn assert_rejects_beyond_u32(flag: &str, too_big: &str) {
+        let e = Options::parse(&args(&["simulate", "suite:bs", flag, too_big])).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)), "{flag}: {e:?}");
+        assert_eq!(e.to_string(), format!("bad {flag} value {too_big}"));
+        Options::parse(&args(&["simulate", "suite:bs", flag, "4294967295"])).expect("u32::MAX");
+    }
+
+    #[test]
+    fn runs_flag_rejects_values_beyond_u32() {
+        assert_rejects_beyond_u32("--runs", "4294967296");
+    }
+
+    #[test]
+    fn rounds_flag_rejects_values_beyond_u32() {
+        assert_rejects_beyond_u32("--rounds", "4294967297");
+    }
+
+    #[test]
+    fn refine_budget_flag_rejects_values_beyond_u32() {
+        assert_rejects_beyond_u32("--refine-budget", "4294967296");
     }
 
     #[test]
@@ -1120,6 +1159,34 @@ mod tests {
         assert!(out.contains("classification:"));
     }
 
+    /// A miss penalty large enough to push τ_w past `u64::MAX` is a typed
+    /// analysis error, not a wrapped bound.
+    #[test]
+    fn analyze_rejects_a_wcet_bound_that_overflows() {
+        for (program, penalty) in [
+            ("suite:fft1", "9007199254740992"),
+            ("suite:bs", "18446744073709551615"),
+        ] {
+            let o = Options::parse(&args(&[
+                "analyze",
+                program,
+                "--cache",
+                "2,16,512",
+                "--penalty",
+                penalty,
+            ]))
+            .expect("parses");
+            let e = run(&o).unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    CliError::Engine(EngineError::Analysis(rtpf_wcet::AnalysisError::Overflow))
+                ),
+                "{program} at penalty {penalty}: {e:?}"
+            );
+        }
+    }
+
     #[test]
     fn optimize_reports_theorem() {
         let o = Options::parse(&args(&[
@@ -1200,15 +1267,15 @@ mod tests {
     }
 
     #[test]
-    fn load_program_rejects_unknown_suite() {
-        assert!(load_program("suite:doom").is_err());
-    }
-
-    #[test]
     fn errors_are_typed_and_preserve_legacy_messages() {
         // Pipeline failures carry their typed source error; the rendered
         // message is exactly what the string-typed CLI printed before.
-        let e = load_program("suite:doom").unwrap_err();
+        let analyze = |spec: &str| {
+            let o =
+                Options::parse(&args(&["analyze", spec, "--cache", "2,16,512"])).expect("parses");
+            run(&o).unwrap_err()
+        };
+        let e = analyze("suite:doom");
         assert!(matches!(e, CliError::Engine(EngineError::UnknownSuite(_))));
         assert_eq!(
             e.to_string(),
@@ -1216,7 +1283,7 @@ mod tests {
         );
         assert!(std::error::Error::source(&e).is_some());
 
-        let e = load_program("/no/such/file.rtpf").unwrap_err();
+        let e = analyze("/no/such/file.rtpf");
         assert!(matches!(e, CliError::Engine(EngineError::Read { .. })));
         assert!(e.to_string().starts_with("cannot read /no/such/file.rtpf:"));
 

@@ -4,15 +4,6 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `serve` runs the daemon loop rather than producing a string, so it
-    // bypasses the string-returning command layer.
-    if args.first().map(String::as_str) == Some("serve") {
-        if let Err(m) = rtpf_serve::serve_main(&args[1..]) {
-            eprintln!("rtpf serve: {m}");
-            std::process::exit(2);
-        }
-        return;
-    }
     let options = match rtpf_cli::Options::parse(&args) {
         Ok(o) => o,
         Err(e) => {

@@ -20,7 +20,7 @@ pub struct OptimizeParams {
     /// (only reached when a batch was rejected).
     pub max_singles_per_round: u32,
     /// Enforce the effectiveness condition (Definition 10). Disabling it
-    /// mimics the WCET-only prior work (paper ref [5]) that inserts the
+    /// mimics the WCET-only prior work (paper ref \[5\]) that inserts the
     /// prefetch without checking that `Λ` fits before the use — ablation 1
     /// of `rtpf-experiments --bin ablations` shows what that changes.
     pub check_effectiveness: bool,

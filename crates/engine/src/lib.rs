@@ -23,10 +23,10 @@ pub use error::EngineError;
 pub use fingerprint::{program_fingerprint, Fingerprint, FpHasher};
 pub use grid::Grid;
 pub use pipeline::{load_program, sweep_key, Engine, Gated};
+pub use rtpf_audit::json_escape;
 pub use service::{
-    json_escape, AnalyzeResponse, AuditResponse, ConfigSpec, OptimizeResponse, ProgramSource,
-    ResponseBody, ServiceCore, ServiceError, ServiceOp, ServiceProfile, ServiceRequest,
-    ServiceResponse, SimulateResponse,
+    AuditResponse, ConfigSpec, ProgramSource, ResponseBody, ServiceCore, ServiceError, ServiceOp,
+    ServiceProfile, ServiceRequest, ServiceResponse,
 };
 pub use store::{ArtifactKey, ArtifactStore, Stage, StoreConfig, StoreMetrics, Weigh};
 pub use unit::{parse_csv, to_csv, UnitResult, COLUMNS};

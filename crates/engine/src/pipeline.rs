@@ -99,11 +99,21 @@ impl Engine {
             path: spec.to_string(),
             error: e.to_string(),
         })?;
+        self.parse(spec, &src)
+    }
+
+    /// Parse stage over program text, cached by content; `path` names the
+    /// source in parse errors.
+    pub(crate) fn parse(
+        &self,
+        path: &str,
+        text: &str,
+    ) -> Result<(String, Arc<Program>), EngineError> {
         let mut h = FpHasher::new();
-        h.write_str(&src);
+        h.write_str(text);
         let key = ArtifactKey::new(Stage::Parse, &[h.finish()]);
         let named: Arc<(String, Program)> =
-            self.store.get_or_compute(key, || parse_text(spec, &src))?;
+            self.store.get_or_compute(key, || parse_text(path, text))?;
         Ok((named.0.clone(), Arc::new(named.1.clone())))
     }
 
@@ -239,7 +249,7 @@ impl Engine {
     }
 
     /// Verify stage: the independent Theorem 1 re-proof over the optimize
-    /// artifact ([`check`] re-analyses both programs from scratch).
+    /// artifact ([`check_hierarchy`] re-analyses both programs from scratch).
     ///
     /// # Errors
     ///
@@ -505,7 +515,7 @@ impl Engine {
     }
 }
 
-pub(crate) fn parse_text(path: &str, src: &str) -> Result<(String, Program), EngineError> {
+fn parse_text(path: &str, src: &str) -> Result<(String, Program), EngineError> {
     let (name, shape) = rtpf_isa::text::parse(src).map_err(|e| EngineError::Parse {
         path: path.to_string(),
         error: e.to_string(),

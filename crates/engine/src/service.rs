@@ -1,14 +1,16 @@
-//! The request-level service core: typed requests in, typed
-//! JSON-serializable responses out.
+//! The request-level service core: typed requests in, responses holding
+//! the engine's artifacts out.
 //!
 //! [`ServiceCore`] is the engine tier the `rtpfd` daemon (and any other
 //! embedder) mounts on a worker pool: one shared [`ArtifactStore`] plus a
 //! cache of [`Engine`]s keyed by configuration fingerprint, so every
 //! worker serving the same configuration shares one engine and all
-//! configurations share one artifact space. `handle` is synchronous and
-//! thread-safe; concurrency comes from calling it on many threads — the
-//! store's sharding and single-flight make that cheap and
-//! exactly-once.
+//! configurations share one artifact space. `serve` is the one path from
+//! an operation, a program and a configuration to an answer: the daemon
+//! reaches it through `handle`, the `rtpf` CLI calls it directly. Both
+//! are synchronous and thread-safe; concurrency comes from calling them
+//! on many threads — the store's sharding and single-flight make that
+//! cheap and exactly-once.
 //!
 //! Responses are rendered by `to_json` as a **pure function of the
 //! underlying artifacts** (field order fixed, floats via Rust's
@@ -21,15 +23,18 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use rtpf_audit::{DiagnosticSink, SoundnessOptions};
+use rtpf_audit::{json_escape, DiagnosticSink, SoundnessOptions};
 use rtpf_cache::CacheConfig;
+use rtpf_core::{OptimizeResult, TheoremReport};
 use rtpf_isa::Program;
+use rtpf_sim::SimResult;
+use rtpf_wcet::WcetAnalysis;
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::fingerprint::{Fingerprint, FpHasher};
-use crate::pipeline::{parse_text, Engine};
-use crate::store::{ArtifactKey, ArtifactStore, Stage};
+use crate::fingerprint::Fingerprint;
+use crate::pipeline::Engine;
+use crate::store::ArtifactStore;
 
 /// The operation a request asks for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -217,49 +222,9 @@ impl From<EngineError> for ServiceError {
     }
 }
 
-/// Response of an `analyze` request.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct AnalyzeResponse {
-    /// WCET bound τ_w (cycles).
-    pub tau_w: u64,
-    /// Instruction-fetch misses on the WCET path.
-    pub wcet_misses: u64,
-    /// Instruction fetches on the WCET path.
-    pub wcet_accesses: u64,
-    /// References classified always-hit.
-    pub always_hit: usize,
-    /// References classified always-miss.
-    pub always_miss: usize,
-    /// References left unclassified.
-    pub unclassified: usize,
-}
-
-/// Response of an `optimize` request (the verified optimization).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct OptimizeResponse {
-    /// Prefetches inserted.
-    pub inserted: u32,
-    /// Optimizer rounds run.
-    pub rounds: u32,
-    /// τ_w before optimization.
-    pub wcet_before: u64,
-    /// τ_w after optimization.
-    pub wcet_after: u64,
-    /// WCET-path misses before.
-    pub misses_before: u64,
-    /// WCET-path misses after.
-    pub misses_after: u64,
-    /// Candidates the optimizer examined.
-    pub candidates_seen: u64,
-    /// Candidates rejected by the incremental verifier.
-    pub rejected_by_verifier: u64,
-    /// Independent Theorem 1 re-proof: prefetch-equivalence.
-    pub equivalent: bool,
-    /// Independent Theorem 1 re-proof: τ_w non-increase.
-    pub wcet_preserved: bool,
-}
-
-/// Response of an `audit` request.
+/// Response of an `audit` request. Unlike the other payloads it is not
+/// an engine artifact: its counts come from the request's diagnostic
+/// sink.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct AuditResponse {
     /// Deny-severity findings.
@@ -278,38 +243,34 @@ pub struct AuditResponse {
     pub precision_score: f64,
 }
 
-/// Response of a `simulate` request.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SimulateResponse {
-    /// Simulation runs aggregated.
-    pub runs: u32,
-    /// Mean cycles per run (the ACET estimate).
-    pub acet_cycles: f64,
-    /// Instruction-fetch miss rate.
-    pub miss_rate: f64,
-    /// Mean instructions executed per run.
-    pub instr_executed: f64,
-    /// Prefetches issued across all runs.
-    pub prefetches_issued: u64,
-    /// Prefetches that were subsequently useful.
-    pub prefetch_useful: u64,
-}
-
-/// The operation-specific payload of a [`ServiceResponse`].
-#[derive(Clone, Copy, PartialEq, Debug)]
+/// The operation-specific payload of a [`ServiceResponse`]: the engine's
+/// own artifacts, shared with its store. Front ends render what they
+/// need from them (the daemon a fixed JSON subset, the CLI its text).
+#[derive(Clone, Debug)]
 pub enum ResponseBody {
-    /// `analyze` payload.
-    Analyze(AnalyzeResponse),
-    /// `optimize` payload.
-    Optimize(OptimizeResponse),
+    /// `analyze` payload: the loaded program and its WCET analysis.
+    Analyze {
+        /// The analyzed program.
+        program: Arc<Program>,
+        /// The analysis artifact.
+        analysis: Arc<WcetAnalysis>,
+    },
+    /// `optimize` payload: the optimization and its independent Theorem 1
+    /// re-proof.
+    Optimize {
+        /// The optimize artifact.
+        result: Arc<OptimizeResult>,
+        /// The verify artifact.
+        theorem: TheoremReport,
+    },
     /// `audit` payload.
     Audit(AuditResponse),
-    /// `simulate` payload.
-    Simulate(SimulateResponse),
+    /// `simulate` payload: the simulate artifact.
+    Simulate(Arc<SimResult>),
 }
 
 /// A complete service response: request echo plus the typed payload.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Debug)]
 pub struct ServiceResponse {
     /// The operation served.
     pub op: ServiceOp,
@@ -328,31 +289,35 @@ impl ServiceResponse {
     /// daemon and library paths for the same artifacts.
     pub fn to_json(&self) -> String {
         let body = match &self.body {
-            ResponseBody::Analyze(a) => format!(
-                "{{\"tau_w\": {}, \"wcet_misses\": {}, \"wcet_accesses\": {}, \
-                 \"always_hit\": {}, \"always_miss\": {}, \"unclassified\": {}}}",
-                a.tau_w,
-                a.wcet_misses,
-                a.wcet_accesses,
-                a.always_hit,
-                a.always_miss,
-                a.unclassified
-            ),
-            ResponseBody::Optimize(o) => format!(
-                "{{\"inserted\": {}, \"rounds\": {}, \"wcet_before\": {}, \"wcet_after\": {}, \
-                 \"misses_before\": {}, \"misses_after\": {}, \"candidates_seen\": {}, \
-                 \"rejected_by_verifier\": {}, \"equivalent\": {}, \"wcet_preserved\": {}}}",
-                o.inserted,
-                o.rounds,
-                o.wcet_before,
-                o.wcet_after,
-                o.misses_before,
-                o.misses_after,
-                o.candidates_seen,
-                o.rejected_by_verifier,
-                o.equivalent,
-                o.wcet_preserved
-            ),
+            ResponseBody::Analyze { analysis: a, .. } => {
+                let (always_hit, always_miss, unclassified) = a.classification_counts();
+                format!(
+                    "{{\"tau_w\": {}, \"wcet_misses\": {}, \"wcet_accesses\": {}, \
+                     \"always_hit\": {always_hit}, \"always_miss\": {always_miss}, \
+                     \"unclassified\": {unclassified}}}",
+                    a.tau_w(),
+                    a.wcet_misses(),
+                    a.wcet_accesses(),
+                )
+            }
+            ResponseBody::Optimize { result, theorem } => {
+                let r = &result.report;
+                format!(
+                    "{{\"inserted\": {}, \"rounds\": {}, \"wcet_before\": {}, \"wcet_after\": {}, \
+                     \"misses_before\": {}, \"misses_after\": {}, \"candidates_seen\": {}, \
+                     \"rejected_by_verifier\": {}, \"equivalent\": {}, \"wcet_preserved\": {}}}",
+                    r.inserted,
+                    r.rounds,
+                    r.wcet_before,
+                    r.wcet_after,
+                    r.misses_before,
+                    r.misses_after,
+                    r.candidates_seen,
+                    r.rejected_by_verifier,
+                    theorem.equivalent,
+                    theorem.wcet_preserved
+                )
+            }
             ResponseBody::Audit(a) => format!(
                 "{{\"denials\": {}, \"warnings\": {}, \"notes\": {}, \"refs_total\": {}, \
                  \"refs_observed\": {}, \"unsound\": {}, \"precision_score\": {}}}",
@@ -368,9 +333,9 @@ impl ServiceResponse {
                 "{{\"runs\": {}, \"acet_cycles\": {}, \"miss_rate\": {}, \
                  \"instr_executed\": {}, \"prefetches_issued\": {}, \"prefetch_useful\": {}}}",
                 s.runs,
-                s.acet_cycles,
-                s.miss_rate,
-                s.instr_executed,
+                s.acet_cycles(),
+                s.miss_rate(),
+                s.mean_instr_executed(),
                 s.prefetches_issued,
                 s.prefetch_useful
             ),
@@ -382,27 +347,6 @@ impl ServiceResponse {
             self.config_fingerprint
         )
     }
-}
-
-/// Escapes `s` for use inside a JSON string literal: quotes, backslashes
-/// and every control character, so any parser that follows RFC 8259
-/// (including `rtpf_serve::json`) reads the text back verbatim.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The shared, thread-safe engine tier behind the daemon: one artifact
@@ -446,65 +390,49 @@ impl ServiceCore {
         self.engines.lock().expect("engines lock").len()
     }
 
-    fn load(
-        &self,
-        engine: &Engine,
-        source: &ProgramSource,
-    ) -> Result<(String, Arc<Program>), ServiceError> {
-        match source {
-            ProgramSource::Spec(spec) => Ok(engine.load(spec)?),
-            ProgramSource::Inline { name, text } => {
-                let mut h = FpHasher::new();
-                h.write_str(text);
-                let key = ArtifactKey::new(Stage::Parse, &[h.finish()]);
-                let named = engine
-                    .store()
-                    .get_or_compute(key, || parse_text(name, text))?;
-                Ok((named.0.clone(), Arc::new(named.1.clone())))
-            }
-        }
-    }
-
-    /// Serves one request. Synchronous and thread-safe; all caching is
-    /// the store's business (memoized stages, single-flight
-    /// deduplication).
+    /// Serves one request: resolves its configuration, then [`serve`]s
+    /// it.
     ///
     /// # Errors
     ///
     /// [`ServiceError::BadRequest`] for uninterpretable requests,
     /// [`ServiceError::Engine`] for pipeline failures.
+    ///
+    /// [`serve`]: ServiceCore::serve
     pub fn handle(&self, req: &ServiceRequest) -> Result<ServiceResponse, ServiceError> {
         let config = req.config.resolve()?;
+        Ok(self.serve(req.op, &req.program, config)?)
+    }
+
+    /// Runs `op` over `program` under `config` — the one path from an
+    /// operation to its artifacts, shared by the daemon (through
+    /// [`handle`](ServiceCore::handle)) and the CLI. Synchronous and
+    /// thread-safe; all caching is the store's business (memoized
+    /// stages, single-flight deduplication).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failing stage's [`EngineError`].
+    pub fn serve(
+        &self,
+        op: ServiceOp,
+        program: &ProgramSource,
+        config: EngineConfig,
+    ) -> Result<ServiceResponse, EngineError> {
         let config_fingerprint = config.fingerprint().hex();
         let engine = self.engine_for(config);
-        let (program, p) = self.load(&engine, &req.program)?;
-        let body = match req.op {
-            ServiceOp::Analyze => {
-                let a = engine.analysis(&p)?;
-                let (always_hit, always_miss, unclassified) = a.classification_counts();
-                ResponseBody::Analyze(AnalyzeResponse {
-                    tau_w: a.tau_w(),
-                    wcet_misses: a.wcet_misses(),
-                    wcet_accesses: a.wcet_accesses(),
-                    always_hit,
-                    always_miss,
-                    unclassified,
-                })
-            }
+        let (name, p) = match program {
+            ProgramSource::Spec(spec) => engine.load(spec)?,
+            ProgramSource::Inline { name, text } => engine.parse(name, text)?,
+        };
+        let body = match op {
+            ServiceOp::Analyze => ResponseBody::Analyze {
+                analysis: engine.analysis(&p)?,
+                program: p,
+            },
             ServiceOp::Optimize => {
-                let (r, theorem) = engine.verified(&p)?;
-                ResponseBody::Optimize(OptimizeResponse {
-                    inserted: r.report.inserted,
-                    rounds: r.report.rounds,
-                    wcet_before: r.report.wcet_before,
-                    wcet_after: r.report.wcet_after,
-                    misses_before: r.report.misses_before,
-                    misses_after: r.report.misses_after,
-                    candidates_seen: r.report.candidates_seen,
-                    rejected_by_verifier: r.report.rejected_by_verifier,
-                    equivalent: theorem.equivalent,
-                    wcet_preserved: theorem.wcet_preserved,
-                })
+                let (result, theorem) = engine.verified(&p)?;
+                ResponseBody::Optimize { result, theorem }
             }
             ServiceOp::Audit => {
                 let mut sink = DiagnosticSink::new(engine.config().severity().clone());
@@ -526,21 +454,11 @@ impl ServiceCore {
                     precision_score: summary.precision_score,
                 })
             }
-            ServiceOp::Simulate => {
-                let s = engine.simulated(&p)?;
-                ResponseBody::Simulate(SimulateResponse {
-                    runs: s.runs,
-                    acet_cycles: s.acet_cycles(),
-                    miss_rate: s.miss_rate(),
-                    instr_executed: s.mean_instr_executed(),
-                    prefetches_issued: s.prefetches_issued,
-                    prefetch_useful: s.prefetch_useful,
-                })
-            }
+            ServiceOp::Simulate => ResponseBody::Simulate(engine.simulated(&p)?),
         };
         Ok(ServiceResponse {
-            op: req.op,
-            program,
+            op,
+            program: name,
             config_fingerprint,
             body,
         })
@@ -568,11 +486,11 @@ mod tests {
         let engine = Engine::new(cfg);
         let (_, p) = engine.load("suite:bs").expect("loads");
         let a = engine.analysis(&p).expect("analyzes");
-        let ResponseBody::Analyze(got) = resp.body else {
+        let ResponseBody::Analyze { analysis: got, .. } = &resp.body else {
             panic!("analyze response expected");
         };
-        assert_eq!(got.tau_w, a.tau_w());
-        assert_eq!(got.wcet_misses, a.wcet_misses());
+        assert_eq!(got.tau_w(), a.tau_w());
+        assert_eq!(got.wcet_misses(), a.wcet_misses());
         assert_eq!(resp.program, "bs");
         assert!(resp.to_json().contains("\"op\": \"analyze\""));
     }
@@ -622,7 +540,7 @@ mod tests {
         let r1 = core.handle(&req).expect("serves");
         let misses = core.store().misses();
         let r2 = core.handle(&req).expect("serves");
-        assert_eq!(r1, r2);
+        assert_eq!(r1.to_json(), r2.to_json());
         assert_eq!(core.store().misses(), misses, "second pass fully cached");
     }
 

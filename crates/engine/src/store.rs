@@ -709,7 +709,7 @@ impl ArtifactStore {
     ///
     /// Safe for multiple concurrent writers: the write happens under a
     /// `<name>.lock` lease (stale leases are stolen after
-    /// [`LEASE_TTL`]), each file lands via write-to-temp + fsync +
+    /// `LEASE_TTL`), each file lands via write-to-temp + fsync +
     /// rename, and the sidecar is renamed in only after the artifact is
     /// durable. A crash at any point leaves either the old pair, a fresh
     /// artifact with no/old sidecar (detectable stale), or the fresh
@@ -718,7 +718,7 @@ impl ArtifactStore {
     /// # Errors
     ///
     /// Fails when the disk layer is absent, the lease cannot be acquired
-    /// within [`LEASE_ACQUIRE_TIMEOUT`], or a filesystem write fails.
+    /// within `LEASE_ACQUIRE_TIMEOUT`, or a filesystem write fails.
     pub fn disk_put(&self, name: &str, key: ArtifactKey, text: &str) -> Result<(), EngineError> {
         let path = self.disk_path(name).ok_or_else(|| EngineError::Store {
             path: name.to_string(),
@@ -758,7 +758,7 @@ pub const LEASE_ACQUIRE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// An exclusive on-disk write lease: a `<name>.lock` file created with
 /// `create_new` (atomic on POSIX and NTFS alike), removed on drop. A
-/// lease older than [`LEASE_TTL`] is presumed abandoned and stolen.
+/// lease older than `LEASE_TTL` is presumed abandoned and stolen.
 struct DiskLease {
     path: PathBuf,
 }

@@ -1,7 +1,7 @@
 //! Result-quality ablations of the design choices DESIGN.md calls out:
 //!
 //! 1. effectiveness check on/off — does ignoring the latency window (the
-//!    WCET-only prior work, paper ref [5]) change the outcome?
+//!    WCET-only prior work, paper ref \[5\]) change the outcome?
 //! 2. `J_SE` WCET-path join vs. a conventional first-successor join in
 //!    the reverse analysis — how many useful candidates does each see?
 //! 3. single optimization round vs. iterating to a fixpoint.

@@ -1,11 +1,11 @@
-//! Extension experiment (paper §2 / reference [22]): hardware next-line
+//! Extension experiment (paper §2 / reference \[22\]): hardware next-line
 //! prefetching vs. the paper's software insertion, on both axes that
 //! matter to a real-time engineer:
 //!
 //! * **average case** — simulated ACET with a real next-line prefetcher
 //!   (latency modelled, pollution included);
 //! * **worst case** — the WCET bound. For hardware prefetching the bound
-//!   shown uses the idealized next-line abstract semantics of [22]
+//!   shown uses the idealized next-line abstract semantics of \[22\]
 //!   (prefetch always completes in time), i.e. it is a *best case for
 //!   hardware*; the software technique's bound is fully guaranteed
 //!   (Theorem 1) and needs no timing leap of faith.

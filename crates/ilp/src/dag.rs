@@ -21,6 +21,8 @@ pub enum DagError {
     Cyclic,
     /// The sink is unreachable from the source.
     Unreachable,
+    /// A path's total weight exceeds `u64::MAX`.
+    Overflow,
 }
 
 impl fmt::Display for DagError {
@@ -29,6 +31,7 @@ impl fmt::Display for DagError {
             DagError::NodeOutOfRange(n) => write!(f, "node {n} out of range"),
             DagError::Cyclic => write!(f, "graph contains a cycle"),
             DagError::Unreachable => write!(f, "sink unreachable from source"),
+            DagError::Overflow => write!(f, "path weight overflows u64"),
         }
     }
 }
@@ -144,8 +147,9 @@ impl Dag {
     ///
     /// # Errors
     ///
-    /// Fails on cyclic graphs, out-of-range endpoints, or when `sink` is
-    /// unreachable from `source`.
+    /// Fails on cyclic graphs, out-of-range endpoints, when `sink` is
+    /// unreachable from `source`, or when a path's weight overflows
+    /// `u64`.
     pub fn longest_path(&self, source: usize, sink: usize) -> Result<LongestPath, DagError> {
         let n = self.weights.len();
         for e in [source, sink] {
@@ -160,7 +164,7 @@ impl Dag {
         for &u in &order {
             let Some(bu) = best[u] else { continue };
             for &v in &self.succs[u] {
-                let cand = bu + self.weights[v];
+                let cand = bu.checked_add(self.weights[v]).ok_or(DagError::Overflow)?;
                 if best[v].is_none_or(|bv| cand > bv) {
                     best[v] = Some(cand);
                     from[v] = u;
@@ -240,6 +244,15 @@ mod tests {
     fn unreachable_sink_rejected() {
         let d = Dag::new(vec![1, 1]);
         assert_eq!(d.longest_path(0, 1), Err(DagError::Unreachable));
+    }
+
+    #[test]
+    fn overflowing_path_weight_is_an_error() {
+        let mut d = Dag::new(vec![u64::MAX - 1, 1, 1]);
+        d.add_edge(0, 1).unwrap();
+        assert_eq!(d.longest_path(0, 1).unwrap().value, u64::MAX);
+        d.add_edge(1, 2).unwrap();
+        assert_eq!(d.longest_path(0, 2), Err(DagError::Overflow));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Linear and integer programming for IPET.
 //!
-//! The Implicit Path Enumeration Technique (IPET, reference [11] of the
+//! The Implicit Path Enumeration Technique (IPET, reference \[11\] of the
 //! paper) bounds the WCET by maximizing `Σ t_bb · n_bb` subject to
 //! flow-conservation and loop-bound constraints. The original toolchain
 //! called an external ILP solver; this crate provides the substrate from

@@ -79,7 +79,7 @@ impl Layout {
     }
 
     /// Builds a layout from an explicit address assignment, one address
-    /// per instruction indexed by [`InstrId`](crate::InstrId).
+    /// per instruction indexed by [`InstrId`].
     ///
     /// Intended for tools that audit or replay externally produced
     /// layouts (e.g. from a linker map); nothing is checked here —

@@ -2,7 +2,7 @@
 //!
 //! The `rtpf` CLI reads task descriptions in this format, making the
 //! toolchain usable without writing Rust. The grammar mirrors the
-//! [`Shape`](crate::shape::Shape) AST:
+//! [`Shape`] AST:
 //!
 //! ```text
 //! # a compress-like task
@@ -25,7 +25,7 @@
 //! * `#` starts a line comment; whitespace is free-form.
 //!
 //! [`parse`] produces a [`Shape`] (plus the program name), and
-//! [`write`] renders a `Shape` back; the two round-trip.
+//! [`write()`] renders a `Shape` back; the two round-trip.
 
 use std::error::Error;
 use std::fmt;

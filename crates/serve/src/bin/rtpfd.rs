@@ -7,9 +7,10 @@
 //!
 //! Binds (port 0 picks an ephemeral port), optionally writes the bound
 //! address to `--port-file` (how CI discovers the port), serves until a
-//! `POST /shutdown`, drains, and exits 0. `rtpf serve` is the same
-//! entry point behind the main CLI; both delegate to
-//! [`rtpf_serve::serve_main`].
+//! `POST /shutdown`, drains, and exits 0. Everything past argument
+//! collection lives in [`rtpf_serve::serve_main`]. Each request runs
+//! through the engine's `ServiceCore`, the same compute path behind
+//! `rtpf analyze/optimize/simulate`.
 
 use std::process::ExitCode;
 

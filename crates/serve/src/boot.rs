@@ -1,5 +1,6 @@
-//! Daemon bootstrap shared by the `rtpfd` binary and `rtpf serve`:
-//! flag parsing, bind, port-file publication, and the serve loop.
+//! Bootstrap of the `rtpfd` binary: flag parsing, bind, port-file
+//! publication, and the serve loop. A library module so the flag grammar
+//! is unit-tested and other embedders can start the same daemon.
 
 use crate::{Daemon, DaemonConfig};
 

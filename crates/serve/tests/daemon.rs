@@ -321,6 +321,25 @@ fn error_bodies_escape_every_character_the_request_echoes() {
     server.shutdown();
 }
 
+/// A penalty that pushes τ_w past `u64::MAX` gets an error response
+/// instead of a wrapped bound, and the daemon keeps serving.
+#[test]
+fn an_overflowing_wcet_bound_is_an_error_response() {
+    let server = Running::start(DaemonConfig::default());
+    let mut req = service_request(ServiceOp::Analyze, "fft1", "2:16:512");
+    req.config.penalty = Some(1 << 53);
+    let resp = server.post("/analyze", &encode_request(&req));
+    assert_ne!(resp.status, 200, "{}", resp.body);
+    let doc = Value::parse(&resp.body).expect("error body is valid JSON");
+    assert!(
+        doc.get("error").and_then(Value::as_str).is_some(),
+        "{}",
+        resp.body
+    );
+    assert_eq!(server.get("/healthz").status, 200);
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_and_stops_accepting() {
     let server = Running::start(DaemonConfig {

@@ -1,7 +1,7 @@
 //! Synthetic reconstruction of the Mälardalen WCET benchmark suite.
 //!
 //! The paper evaluates on the 37 programs of the Mälardalen benchmark
-//! (reference [10]), compiled for ARMv7. The C sources cannot be compiled
+//! (reference \[10\]), compiled for ARMv7. The C sources cannot be compiled
 //! here, so this crate reconstructs each program's **control-flow
 //! skeleton** — loop nests with their documented bounds, conditional and
 //! switch shapes, and code sizes in the range of the real binaries — using

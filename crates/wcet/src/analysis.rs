@@ -115,25 +115,9 @@ impl WcetAnalysis {
         config: &CacheConfig,
         timing: &MemTiming,
     ) -> Result<Self, AnalysisError> {
-        Self::analyze_with_layout(p, Layout::of(p), config, timing)
-    }
-
-    /// Analyses `p` under an explicit layout (used by the optimizer after
-    /// relocation).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_with_layout(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-    ) -> Result<Self, AnalysisError> {
         Self::analyze_full(
             p,
-            layout,
+            Layout::of(p),
             &HierarchyConfig::l1_only(*config),
             timing,
             None,
@@ -142,71 +126,20 @@ impl WcetAnalysis {
         )
     }
 
-    /// [`analyze_with_layout`](WcetAnalysis::analyze_with_layout) with an
-    /// explicit refinement configuration (the engine threads its
-    /// fingerprinted `RefineConfig` through here). Refinement only runs
-    /// for FIFO/tree-PLRU; under LRU or with refinement disabled the
-    /// result is bit-identical to the unrefined analysis.
+    /// Analyses `p` under an explicit layout and a full cache
+    /// [`HierarchyConfig`] (the engine's entry point; the optimizer's
+    /// relocated layouts come through here too). With an L2 level the
+    /// refined L1 classification drives Hardy & Puaut's filtered L2
+    /// must/may pass, and `t_w` charges [`MemTiming::l2_hit_cycles`] for
+    /// L1 misses the L2 analysis proves always-hit.
     ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_refined(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-        refine: RefineConfig,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            layout,
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            None,
-            refine,
-            1,
-        )
-    }
-
-    /// [`analyze_refined`](WcetAnalysis::analyze_refined) solving the
-    /// classify fixpoint's ready SCCs — and the refinement stage's per-set
-    /// explorations — on `threads` scoped worker threads (`1` =
-    /// sequential). Results are bit-identical at any thread count; the
-    /// knob only trades wall-clock for cores. Incremental re-analyses
-    /// derived from this analysis inherit the same thread count.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `p` is structurally invalid or the analysis blows its
-    /// context budget.
-    pub fn analyze_parallel(
-        p: &Program,
-        layout: Layout,
-        config: &CacheConfig,
-        timing: &MemTiming,
-        refine: RefineConfig,
-        threads: usize,
-    ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(
-            p,
-            layout,
-            &HierarchyConfig::l1_only(*config),
-            timing,
-            None,
-            refine,
-            threads,
-        )
-    }
-
-    /// [`analyze_parallel`](WcetAnalysis::analyze_parallel) over a full
-    /// cache [`HierarchyConfig`]. With a single-level hierarchy this is
-    /// bit-identical to the single-level entry points; with an L2 level
-    /// the refined L1 classification drives Hardy & Puaut's filtered L2
-    /// must/may pass, and `t_w` charges
-    /// [`MemTiming::l2_hit_cycles`] for L1 misses the L2 analysis proves
-    /// always-hit.
+    /// `refine` configures the exact FIFO/tree-PLRU refinement; under LRU
+    /// or with refinement disabled the result is bit-identical to the
+    /// unrefined analysis. The classify fixpoint's ready SCCs — and the
+    /// refinement's per-set explorations — run on `threads` scoped worker
+    /// threads (`1` = sequential). Results are bit-identical at any thread
+    /// count; incremental re-analyses derived from this analysis inherit
+    /// the same thread count.
     ///
     /// # Errors
     ///
@@ -225,9 +158,8 @@ impl WcetAnalysis {
 
     /// Analyses `p` assuming an always-on **next-N-line hardware
     /// prefetcher** (the abstract-semantics extension of the paper's
-    /// reference [22]). The bound assumes ideal prefetch timing and is
-    /// therefore optimistic — see
-    /// [`classify_with_hw`](crate::classify::classify_with_hw).
+    /// reference \[22\]). The bound assumes ideal prefetch timing and is
+    /// therefore optimistic (see the `classify` module).
     ///
     /// # Errors
     ///
@@ -380,10 +312,13 @@ impl WcetAnalysis {
         let node_weight: Vec<u64> = (0..vivu.len())
             .map(|i| {
                 let n = NodeId(i as u32);
-                let sum: u64 = acfg.refs_of_node(n).iter().map(|r| t_w[r.index()]).sum();
-                sum.saturating_mul(vivu.node(n).mult)
+                acfg.refs_of_node(n)
+                    .iter()
+                    .try_fold(0u64, |sum, r| sum.checked_add(t_w[r.index()]))
+                    .and_then(|sum| sum.checked_mul(vivu.node(n).mult))
+                    .ok_or(AnalysisError::Overflow)
             })
-            .collect();
+            .collect::<Result<_, _>>()?;
 
         let ipet = ipet::solve_dag(&vivu, &node_weight)?;
         let n_w: Vec<u64> = acfg
@@ -453,7 +388,7 @@ impl WcetAnalysis {
     /// IPET re-runs in full (it is a cheap DAG longest-path).
     ///
     /// The result is *identical* to a from-scratch
-    /// [`analyze_with_layout`](WcetAnalysis::analyze_with_layout) of
+    /// [`analyze_hierarchy`](WcetAnalysis::analyze_hierarchy) of
     /// `(p2, layout2)` — see the `classify` module docs for the fixpoint
     /// uniqueness argument; debug builds cross-check this. If the CFG
     /// *did* change, the call transparently falls back to a full
@@ -833,7 +768,15 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
         let inc = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &cfg, &timing).unwrap();
+        let full = WcetAnalysis::analyze_hierarchy(
+            &p2,
+            layout2,
+            &HierarchyConfig::l1_only(cfg),
+            &timing,
+            RefineConfig::default(),
+            1,
+        )
+        .unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());
         assert_eq!(inc.wcet_misses(), full.wcet_misses());
         assert_eq!(inc.classification_counts(), full.classification_counts());

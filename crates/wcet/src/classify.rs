@@ -10,9 +10,10 @@
 //! Software prefetch instructions have two effects: their own fetch (a
 //! normal reference to their containing block) and the prefetched block
 //! entering the cache. Following the semantics of next-N-line analysis
-//! extension (reference [22] of the paper), the prefetched block is folded
-//! into the abstract states at the prefetch point; the insertion criterion
-//! of `rtpf-core` guarantees the latency is hidden on the WCET path.
+//! extension (reference \[22\] of the paper), the prefetched block is
+//! folded into the abstract states at the prefetch point; the insertion
+//! criterion of `rtpf-core` guarantees the latency is hidden on the WCET
+//! path.
 //!
 //! # Solver structure
 //!
@@ -29,12 +30,11 @@
 //!
 //! The same uniqueness argument makes the solver parallel: independent
 //! ready SCCs (indegree zero in the remaining condensation DAG) are
-//! handed to a scoped worker pool ([`classify_parallel`], or the
-//! `threads` knob threaded through the engine). Each SCC is still solved
-//! by exactly one worker with a deterministic worklist, and cross-SCC
-//! inputs are published write-once, so the computed states — and every
-//! classification derived from them — are bit-identical at any thread
-//! count.
+//! handed to a scoped worker pool (the `threads` knob threaded through
+//! the engine). Each SCC is still solved by exactly one worker with a
+//! deterministic worklist, and cross-SCC inputs are published
+//! write-once, so the computed states — and every classification
+//! derived from them — are bit-identical at any thread count.
 //!
 //! # Incremental re-analysis
 //!
@@ -125,70 +125,25 @@ pub struct PrevPass<'a> {
     pub sigs: &'a [NodeSig],
 }
 
-/// Runs the must/may fixpoint and classifies every reference.
-pub fn classify(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-) -> Result<ClassifyResult, AnalysisError> {
-    classify_with_hw(p, layout, vivu, acfg, config, None)
-}
-
-/// [`classify`] extended with **next-N-line hardware prefetching**
-/// semantics, reproducing the abstract-semantics extension of the paper's
-/// reference [22]: every fetch of block `b` additionally folds blocks
-/// `b+1 ..= b+n` into the abstract states (the "next-line always"
-/// policy).
+/// Runs the must/may fixpoint from scratch and classifies every
+/// reference, recording its evaluations into a caller-provided lineage
+/// cache so later incremental passes can reuse them.
 ///
-/// The resulting classification assumes ideal prefetch timing (the
-/// prefetched line arrives before its first use), so the WCET computed
-/// from it is *optimistic* for hardware prefetching — which is exactly
-/// the comparison the paper draws: hardware prefetching has no safe
-/// WCET story, software insertion does.
-pub fn classify_with_hw(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-) -> Result<ClassifyResult, AnalysisError> {
-    let cache = AnalysisCache::new();
-    run_classify(p, layout, vivu, acfg, config, hw_next_line, None, &cache, 1)
-}
-
-/// [`classify_with_hw`] solving ready SCCs of the condensation DAG on
-/// `threads` scoped worker threads (`1` = in-place sequential). Results
-/// are bit-identical at any thread count; only the eval/memo-hit and
-/// interned/fresh *splits* may shift (their sums stay fixed), because a
-/// racing worker can win the memo slot another would have filled.
-pub fn classify_parallel(
-    p: &Program,
-    layout: &Layout,
-    vivu: &VivuGraph,
-    acfg: &Acfg,
-    config: &CacheConfig,
-    hw_next_line: Option<u32>,
-    threads: usize,
-) -> Result<ClassifyResult, AnalysisError> {
-    let cache = AnalysisCache::new();
-    run_classify(
-        p,
-        layout,
-        vivu,
-        acfg,
-        config,
-        hw_next_line,
-        None,
-        &cache,
-        threads,
-    )
-}
-
-/// [`classify_with_hw`] recording its evaluations into a caller-provided
-/// lineage cache, so later incremental passes can reuse them.
+/// With `hw_next_line = Some(n)` it applies **next-N-line hardware
+/// prefetching** semantics, reproducing the abstract-semantics extension
+/// of the paper's reference \[22\]: every fetch of block `b` additionally
+/// folds blocks `b+1 ..= b+n` into the abstract states (the "next-line
+/// always" policy). That classification assumes ideal prefetch timing
+/// (the prefetched line arrives before its first use), so the WCET
+/// computed from it is *optimistic* for hardware prefetching — which is
+/// exactly the comparison the paper draws: hardware prefetching has no
+/// safe WCET story, software insertion does.
+///
+/// Ready SCCs of the condensation DAG are solved on `threads` scoped
+/// worker threads (`1` = in-place sequential). Results are bit-identical
+/// at any thread count; only the eval/memo-hit and interned/fresh
+/// *splits* may shift (their sums stay fixed), because a racing worker
+/// can win the memo slot another would have filled.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn classify_full_cached(
     p: &Program,
@@ -217,7 +172,7 @@ pub(crate) fn classify_full_cached(
 /// SCCs whose touched-block signature or inputs changed (see the module
 /// docs) and answering repeated node evaluations from `cache`, which is
 /// shared across every analysis of the lineage. Produces results
-/// identical to [`classify_with_hw`] on the new program.
+/// identical to a from-scratch classification of the new program.
 #[allow(clippy::too_many_arguments)]
 pub fn classify_incremental(
     p: &Program,
@@ -957,12 +912,26 @@ mod tests {
     use super::*;
     use rtpf_isa::shape::Shape;
 
+    /// A from-scratch classification over a private memo.
+    fn classify_with(
+        p: &Program,
+        layout: &Layout,
+        v: &VivuGraph,
+        a: &Acfg,
+        config: &CacheConfig,
+        hw_next_line: Option<u32>,
+        threads: usize,
+    ) -> ClassifyResult {
+        let cache = AnalysisCache::new();
+        classify_full_cached(p, layout, v, a, config, hw_next_line, &cache, threads).unwrap()
+    }
+
     fn run(shape: Shape, config: CacheConfig) -> (Program, Acfg, ClassifyResult) {
         let p = shape.compile("t");
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &config).unwrap();
+        let c = classify_with(&p, &layout, &v, &a, &config, None, 1);
         (p, a, c)
     }
 
@@ -989,7 +958,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
         for r in a.refs() {
             let node = v.node(r.node);
             let is_rest = node
@@ -1017,7 +986,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
         let rest_misses = a
             .refs()
             .iter()
@@ -1048,7 +1017,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
         // Find the reference fetching `target`.
         let r = a.refs().iter().find(|r| r.instr == target).unwrap();
         assert_eq!(c.class[r.id.index()], Classification::AlwaysHit);
@@ -1065,8 +1034,8 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let plain = classify(&p, &layout, &v, &a, &cfg).unwrap();
-        let hw = classify_with_hw(&p, &layout, &v, &a, &cfg, Some(1)).unwrap();
+        let plain = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let hw = classify_with(&p, &layout, &v, &a, &cfg, Some(1), 1);
         let misses = |c: &ClassifyResult| c.class.iter().filter(|x| x.counts_as_miss()).count();
         assert_eq!(misses(&plain), 8, "32 instrs = 8 cold blocks");
         assert_eq!(misses(&hw), 1, "only the very first block misses");
@@ -1113,8 +1082,8 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let seq = classify_parallel(&p, &layout, &v, &a, &cfg, None, 1).unwrap();
-        let par = classify_parallel(&p, &layout, &v, &a, &cfg, None, 3).unwrap();
+        let seq = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let par = classify_with(&p, &layout, &v, &a, &cfg, None, 3);
         assert_eq!(par.class, seq.class);
         assert_eq!(par.mem_block, seq.mem_block);
         assert_eq!(par.pf_block, seq.pf_block);
@@ -1140,7 +1109,7 @@ mod tests {
         let layout1 = Layout::of(&p1);
         let v = VivuGraph::build(&p1).unwrap();
         let a1 = Acfg::build(&p1, &v);
-        let c1 = classify(&p1, &layout1, &v, &a1, &cfg).unwrap();
+        let c1 = classify_with(&p1, &layout1, &v, &a1, &cfg, None, 1);
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -1151,7 +1120,7 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, layout1.addr(anchor));
 
         let a2 = Acfg::build(&p2, &v);
-        let full = classify(&p2, &layout2, &v, &a2, &cfg).unwrap();
+        let full = classify_with(&p2, &layout2, &v, &a2, &cfg, None, 1);
         let inc = classify_incremental(
             &p2,
             &layout2,
@@ -1190,7 +1159,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c1 = classify(&p, &layout, &v, &a, &cfg).unwrap();
+        let c1 = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
         let inc = classify_incremental(
             &p,
             &layout,

@@ -29,6 +29,9 @@ pub enum AnalysisError {
         /// before giving up.
         iterations: usize,
     },
+    /// The WCET bound exceeds `u64::MAX` cycles (a miss penalty far
+    /// beyond any real memory).
+    Overflow,
 }
 
 impl fmt::Display for AnalysisError {
@@ -40,6 +43,7 @@ impl fmt::Display for AnalysisError {
             }
             AnalysisError::Ipet(msg) => write!(f, "IPET failed: {msg}"),
             AnalysisError::MissingBound(b) => write!(f, "missing loop bound at {b}"),
+            AnalysisError::Overflow => write!(f, "WCET bound overflows u64 cycles"),
             AnalysisError::FixpointDiverged { iterations } => {
                 write!(
                     f,

@@ -6,7 +6,7 @@
 //! and via the general ILP encoding with flow-conservation constraints,
 //! used to cross-validate the fast path in tests.
 
-use rtpf_ilp::dag::Dag;
+use rtpf_ilp::dag::{Dag, DagError};
 use rtpf_ilp::{Cmp, LinearProgram};
 
 use crate::error::AnalysisError;
@@ -32,7 +32,8 @@ pub struct IpetResult {
 ///
 /// # Errors
 ///
-/// Returns [`AnalysisError::Ipet`] if the graph is malformed.
+/// Returns [`AnalysisError::Ipet`] if the graph is malformed and
+/// [`AnalysisError::Overflow`] if the longest path's weight overflows.
 pub fn solve_dag(vivu: &VivuGraph, node_weight: &[u64]) -> Result<IpetResult, AnalysisError> {
     let n = vivu.len();
     assert_eq!(node_weight.len(), n, "one weight per VIVU node");
@@ -53,9 +54,10 @@ pub fn solve_dag(vivu: &VivuGraph, node_weight: &[u64]) -> Result<IpetResult, An
         dag.add_edge(e.index(), n + 1)
             .map_err(|e| AnalysisError::Ipet(e.to_string()))?;
     }
-    let lp = dag
-        .longest_path(n, n + 1)
-        .map_err(|e| AnalysisError::Ipet(e.to_string()))?;
+    let lp = dag.longest_path(n, n + 1).map_err(|e| match e {
+        DagError::Overflow => AnalysisError::Overflow,
+        e => AnalysisError::Ipet(e.to_string()),
+    })?;
     let mut on_path = vec![false; n];
     for &node in &lp.path {
         if node < n {

@@ -1,8 +1,8 @@
 //! Cache-aware WCET analysis: VIVU, ACFG, and IPET.
 //!
 //! This crate substitutes for the WCET analyzer the paper's authors built
-//! on references [8] (Ferdinand-style abstract cache semantics + VIVU) and
-//! [21] / [11] (IPET). The pipeline is:
+//! on references \[8\] (Ferdinand-style abstract cache semantics + VIVU) and
+//! \[21\] / \[11\] (IPET). The pipeline is:
 //!
 //! 1. [`vivu`] — *Virtual Inlining, Virtual Unrolling*: peel every natural
 //!    loop once, distinguishing the **first** iteration from the **rest**,

@@ -14,7 +14,7 @@
 //!
 //! The hot path is the *hit*: a warmed verification pass answers every
 //! node from the memo. Both signatures and out-states are therefore
-//! interned to canonical `Arc`s ([`AnalysisCache::intern_sig`] /
+//! interned to canonical `Arc`s (`AnalysisCache::intern_sig` /
 //! `StateInterner`), which makes the memo key a tuple of pointers —
 //! lookups hash a handful of `usize`s with a multiply-rotate mixer and
 //! allocate nothing.
@@ -289,7 +289,7 @@ const MEMO_SHARDS: usize = 16;
 ///
 /// Concurrency-safe by sharding: the parallel classify solver looks up and
 /// stores evaluations from every worker thread, so the memo is split into
-/// [`MEMO_SHARDS`] independently locked maps keyed by the high bits of the
+/// `MEMO_SHARDS` independently locked maps keyed by the high bits of the
 /// evaluation hash, and out-states intern through a
 /// [`SharedInterner`]. Signatures keep one mutex — they are interned in
 /// the solver's sequential setup phase. The topology is a `OnceLock`

@@ -4,10 +4,9 @@
 //! unclassified reference — even when the block, once loaded, can never
 //! be evicted again (e.g. code reached through only one arm of a
 //! conditional inside a loop: the must join drops it, but nothing ever
-//! displaces it). The persistence analysis
-//! ([`PersistenceState`](rtpf_cache::PersistenceState)) proves exactly
-//! that property, turning such references into **first miss**: one miss
-//! per run, hits afterwards.
+//! displaces it). The persistence analysis ([`PersistenceState`]) proves
+//! exactly that property, turning such references into **first miss**:
+//! one miss per run, hits afterwards.
 //!
 //! This module runs the persistence fixpoint over the VIVU graph and
 //! reports how much of the WCET bound the refinement could recover. It is

@@ -404,7 +404,8 @@ pub(crate) fn refine_classification(
 #[cfg(test)]
 mod tests {
     use rtpf_cache::{
-        CacheConfig, Classification, MemTiming, RefineConfig, RefineMark, ReplacementPolicy,
+        CacheConfig, Classification, HierarchyConfig, MemTiming, RefineConfig, RefineMark,
+        ReplacementPolicy,
     };
     use rtpf_isa::shape::Shape;
     use rtpf_isa::Layout;
@@ -423,8 +424,15 @@ mod tests {
     ) -> WcetAnalysis {
         let p = shape.clone().compile("refine-t");
         let cfg = geometry.with_policy(policy).unwrap();
-        WcetAnalysis::analyze_refined(&p, Layout::of(&p), &cfg, &MemTiming::default(), refine)
-            .unwrap()
+        WcetAnalysis::analyze_hierarchy(
+            &p,
+            Layout::of(&p),
+            &HierarchyConfig::l1_only(cfg),
+            &MemTiming::default(),
+            refine,
+            1,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -502,19 +510,19 @@ mod tests {
             .with_policy(ReplacementPolicy::Fifo)
             .unwrap();
         let timing = MemTiming::default();
-        let seq = WcetAnalysis::analyze_parallel(
+        let seq = WcetAnalysis::analyze_hierarchy(
             &p,
             Layout::of(&p),
-            &cfg,
+            &HierarchyConfig::l1_only(cfg),
             &timing,
             RefineConfig::on(),
             1,
         )
         .unwrap();
-        let par = WcetAnalysis::analyze_parallel(
+        let par = WcetAnalysis::analyze_hierarchy(
             &p,
             Layout::of(&p),
-            &cfg,
+            &HierarchyConfig::l1_only(cfg),
             &timing,
             RefineConfig::on(),
             3,
@@ -644,7 +652,15 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
         let inc = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &cfg, &timing).unwrap();
+        let full = WcetAnalysis::analyze_hierarchy(
+            &p2,
+            layout2,
+            &HierarchyConfig::l1_only(cfg),
+            &timing,
+            RefineConfig::default(),
+            1,
+        )
+        .unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());
         assert_eq!(inc.classification_counts(), full.classification_counts());
         for r in inc.acfg().refs() {

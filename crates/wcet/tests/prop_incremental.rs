@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use rtpf_cache::{CacheConfig, MemTiming};
+use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, RefineConfig};
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
 use rtpf_wcet::WcetAnalysis;
@@ -60,7 +60,14 @@ proptest! {
         let inc = a1
             .reanalyze_after_insert(&p2, layout2.clone())
             .expect("incremental analysis");
-        let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &config, &timing)
+        let full = WcetAnalysis::analyze_hierarchy(
+            &p2,
+            layout2,
+            &HierarchyConfig::l1_only(config),
+            &timing,
+            RefineConfig::default(),
+            1,
+        )
             .expect("from-scratch analysis");
 
         prop_assert_eq!(inc.tau_w(), full.tau_w());
@@ -102,7 +109,14 @@ proptest! {
             let inc = cur
                 .reanalyze_after_insert(&p2, layout2.clone())
                 .expect("incremental analysis");
-            let full = WcetAnalysis::analyze_with_layout(&p2, layout2, &config, &timing)
+            let full = WcetAnalysis::analyze_hierarchy(
+            &p2,
+            layout2,
+            &HierarchyConfig::l1_only(config),
+            &timing,
+            RefineConfig::default(),
+            1,
+        )
                 .expect("from-scratch analysis");
             prop_assert_eq!(inc.tau_w(), full.tau_w());
             prop_assert_eq!(inc.classification_counts(), full.classification_counts());

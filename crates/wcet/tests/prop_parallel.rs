@@ -10,7 +10,7 @@
 //! and cross-SCC inputs are published write-once — so chaotic scheduling
 //! of ready SCCs cannot change a single output byte.
 
-use rtpf_cache::{CacheConfig, MemTiming, RefineConfig, ReplacementPolicy};
+use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, RefineConfig, ReplacementPolicy};
 use rtpf_isa::Layout;
 use rtpf_wcet::WcetAnalysis;
 
@@ -96,20 +96,20 @@ fn parallel_analysis_matches_sequential_across_suite_and_policies() {
             let (_, geo) = &configs[ki];
             for policy in ReplacementPolicy::ALL {
                 let config = geo.with_policy(policy).expect("Table 2 supports policy");
-                let seq = WcetAnalysis::analyze_parallel(
+                let seq = WcetAnalysis::analyze_hierarchy(
                     &b.program,
                     Layout::of(&b.program),
-                    &config,
+                    &HierarchyConfig::l1_only(config),
                     &timing,
                     RefineConfig::on(),
                     1,
                 )
                 .expect("sequential analysis");
                 for threads in [2, 3] {
-                    let par = WcetAnalysis::analyze_parallel(
+                    let par = WcetAnalysis::analyze_hierarchy(
                         &b.program,
                         Layout::of(&b.program),
-                        &config,
+                        &HierarchyConfig::l1_only(config),
                         &timing,
                         RefineConfig::on(),
                         threads,

@@ -11,7 +11,8 @@
 //! binaries (`CARGO_TARGET_TMPDIR`) for diffing.
 
 use rtpf_cache::{
-    CacheConfig, Classification, MemTiming, RefineConfig, RefineMark, ReplacementPolicy,
+    CacheConfig, Classification, HierarchyConfig, MemTiming, RefineConfig, RefineMark,
+    ReplacementPolicy,
 };
 use rtpf_isa::Layout;
 use rtpf_wcet::WcetAnalysis;
@@ -55,10 +56,10 @@ fn render() -> String {
             for k in CONFIGS {
                 let (_, geo) = configs.iter().find(|(id, _)| id == k).expect("Table 2 id");
                 let config = geo.with_policy(policy).expect("Table 2 supports policy");
-                let a = WcetAnalysis::analyze_parallel(
+                let a = WcetAnalysis::analyze_hierarchy(
                     &b.program,
                     Layout::of(&b.program),
-                    &config,
+                    &HierarchyConfig::l1_only(config),
                     &timing,
                     RefineConfig::on(),
                     1,
