@@ -220,7 +220,13 @@ impl Options {
                 "--penalty" => {
                     o.penalty = Some(parse_num(it.next(), "--penalty")?);
                 }
-                "--runs" => o.runs = Some(parse_num(it.next(), "--runs")?),
+                "--runs" => {
+                    let n: u32 = parse_num(it.next(), "--runs")?;
+                    if n == 0 {
+                        return Err(err("bad --runs value 0: wants at least 1"));
+                    }
+                    o.runs = Some(n);
+                }
                 "--seed" => o.seed = Some(parse_num(it.next(), "--seed")?),
                 "--rounds" => o.rounds = Some(parse_num(it.next(), "--rounds")?),
                 "--behavior" => {
@@ -939,6 +945,13 @@ mod tests {
     #[test]
     fn runs_flag_rejects_values_beyond_u32() {
         assert_rejects_beyond_u32("--runs", "4294967296");
+    }
+
+    #[test]
+    fn runs_flag_rejects_zero() {
+        let e = Options::parse(&args(&["simulate", "suite:bs", "--runs", "0"])).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)), "{e:?}");
+        assert!(e.to_string().starts_with("bad --runs value"), "{e}");
     }
 
     #[test]

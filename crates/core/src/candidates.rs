@@ -134,19 +134,13 @@ mod tests {
         // candidate's block must be referenced after r_i in the ACFG.
         let (_, a) = analyze(Shape::code(64), CacheConfig::new(1, 16, 32).unwrap());
         let c = scan(&Shape::code(64).compile("t"), &a);
-        let pos: std::collections::HashMap<RefId, usize> = a
-            .acfg()
-            .topo()
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i))
-            .collect();
+        // Reference ids are allocated in topological order.
         for cand in &c {
             let after_use = a
                 .acfg()
                 .refs()
                 .iter()
-                .any(|r| pos[&r.id] > pos[&cand.r_i] && a.mem_block(r.id) == cand.evicted);
+                .any(|r| r.id > cand.r_i && a.mem_block(r.id) == cand.evicted);
             assert!(
                 after_use,
                 "candidate block {} has no future use",
@@ -203,15 +197,9 @@ mod tests {
     fn candidates_are_in_topological_order() {
         let (p, a) = analyze(Shape::code(64), CacheConfig::new(1, 16, 32).unwrap());
         let c = scan(&p, &a);
-        let pos: std::collections::HashMap<RefId, usize> = a
-            .acfg()
-            .topo()
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (r, i))
-            .collect();
+        // Reference ids are allocated in topological order.
         for w in c.windows(2) {
-            assert!(pos[&w[0].r_i] <= pos[&w[1].r_i]);
+            assert!(w[0].r_i <= w[1].r_i);
         }
     }
 }

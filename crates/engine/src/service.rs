@@ -157,8 +157,8 @@ impl ConfigSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ServiceError::BadRequest`] for malformed geometry specs
-    /// or an invalid hierarchy.
+    /// Returns [`ServiceError::BadRequest`] for malformed geometry specs,
+    /// an invalid hierarchy, or a zero run count.
     pub fn resolve(&self) -> Result<EngineConfig, ServiceError> {
         let bad = |e: &dyn fmt::Display| ServiceError::BadRequest(e.to_string());
         let cache = CacheConfig::parse_spec(&self.cache).map_err(|e| bad(&e))?;
@@ -175,6 +175,11 @@ impl ConfigSpec {
             cfg = cfg.with_penalty(p);
         }
         if let Some(r) = self.runs {
+            if r == 0 {
+                return Err(ServiceError::BadRequest(
+                    "\"runs\" must be at least 1".to_string(),
+                ));
+            }
             cfg = cfg.with_runs(r);
         }
         if let Some(s) = self.seed {
@@ -555,6 +560,16 @@ mod tests {
         ));
         let mut req = request(ServiceOp::Analyze);
         req.config.l2 = Some("junk".to_string());
+        assert!(matches!(
+            core.handle(&req),
+            Err(ServiceError::BadRequest(_))
+        ));
+        let mut req = request(ServiceOp::Simulate);
+        req.config.runs = Some(0);
+        assert!(matches!(
+            req.config.resolve(),
+            Err(ServiceError::BadRequest(_))
+        ));
         assert!(matches!(
             core.handle(&req),
             Err(ServiceError::BadRequest(_))

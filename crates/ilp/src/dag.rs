@@ -116,15 +116,6 @@ impl Dag {
         Ok(())
     }
 
-    /// Updates the weight of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_weight(&mut self, node: usize, w: u64) {
-        self.weights[node] = w;
-    }
-
     /// Weight of `node`.
     ///
     /// # Panics
@@ -143,7 +134,9 @@ impl Dag {
         &self.succs[node]
     }
 
-    /// Maximum-weight path from `source` to `sink`.
+    /// Maximum-weight path from `source` to `sink` under the current
+    /// weights: [`freeze`](Dag::freeze) plus one
+    /// [`FrozenDag::longest_path`] query.
     ///
     /// # Errors
     ///
@@ -151,20 +144,98 @@ impl Dag {
     /// unreachable from `source`, or when a path's weight overflows
     /// `u64`.
     pub fn longest_path(&self, source: usize, sink: usize) -> Result<LongestPath, DagError> {
+        check_endpoints(self.weights.len(), source, sink)?;
+        self.freeze()?.longest_path(&self.weights, source, sink)
+    }
+
+    /// Freezes the edge structure — successor lists in insertion order
+    /// plus a Kahn topological order — for repeated longest-path queries
+    /// whose node weights change but whose edges do not.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DagError::Cyclic`] if the graph has a cycle.
+    pub fn freeze(&self) -> Result<FrozenDag, DagError> {
         let n = self.weights.len();
-        for e in [source, sink] {
-            if e >= n {
-                return Err(DagError::NodeOutOfRange(e));
+        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
+        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(u) = queue.pop() {
+            order.push(u as u32);
+            for &v in &self.succs[u] {
+                indeg[v] -= 1;
+                if indeg[v] == 0 {
+                    queue.push(v);
+                }
             }
         }
-        let order = self.topo_order()?;
+        if order.len() != n {
+            return Err(DagError::Cyclic);
+        }
+        let mut succ_off = Vec::with_capacity(n + 1);
+        let mut succ_dat = Vec::with_capacity(self.succs.iter().map(Vec::len).sum());
+        succ_off.push(0);
+        for s in &self.succs {
+            succ_dat.extend(s.iter().map(|&v| v as u32));
+            succ_off.push(succ_dat.len() as u32);
+        }
+        Ok(FrozenDag {
+            succ_off,
+            succ_dat,
+            order,
+        })
+    }
+}
+
+fn check_endpoints(n: usize, source: usize, sink: usize) -> Result<(), DagError> {
+    match [source, sink].into_iter().find(|&e| e >= n) {
+        Some(e) => Err(DagError::NodeOutOfRange(e)),
+        None => Ok(()),
+    }
+}
+
+/// A DAG's edges and topological order, frozen by [`Dag::freeze`]; node
+/// weights are supplied per query. Successors are stored in compressed
+/// (offset + flat data) form.
+#[derive(Clone, Debug)]
+pub struct FrozenDag {
+    succ_off: Vec<u32>,
+    succ_dat: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl FrozenDag {
+    /// Maximum-weight path from `source` to `sink`, with `weights[i]` the
+    /// weight of node `i`. Relaxes edges in the frozen topological order
+    /// and keeps the first of several equal-weight predecessors, so ties
+    /// resolve exactly as in [`Dag::longest_path`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on out-of-range endpoints, when `sink` is unreachable from
+    /// `source`, or when a path's weight overflows `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights` does not hold one weight per node.
+    pub fn longest_path(
+        &self,
+        weights: &[u64],
+        source: usize,
+        sink: usize,
+    ) -> Result<LongestPath, DagError> {
+        let n = self.order.len();
+        assert_eq!(weights.len(), n, "one weight per node");
+        check_endpoints(n, source, sink)?;
         let mut best: Vec<Option<u64>> = vec![None; n];
         let mut from: Vec<usize> = vec![usize::MAX; n];
-        best[source] = Some(self.weights[source]);
-        for &u in &order {
+        best[source] = Some(weights[source]);
+        for &u in &self.order {
+            let u = u as usize;
             let Some(bu) = best[u] else { continue };
-            for &v in &self.succs[u] {
-                let cand = bu.checked_add(self.weights[v]).ok_or(DagError::Overflow)?;
+            for &v in &self.succ_dat[self.succ_off[u] as usize..self.succ_off[u + 1] as usize] {
+                let v = v as usize;
+                let cand = bu.checked_add(weights[v]).ok_or(DagError::Overflow)?;
                 if best[v].is_none_or(|bv| cand > bv) {
                     best[v] = Some(cand);
                     from[v] = u;
@@ -182,28 +253,6 @@ impl Dag {
         }
         path.reverse();
         Ok(LongestPath { value, path })
-    }
-
-    /// Kahn topological order.
-    fn topo_order(&self) -> Result<Vec<usize>, DagError> {
-        let n = self.weights.len();
-        let mut indeg: Vec<usize> = self.preds.iter().map(Vec::len).collect();
-        let mut queue: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(u) = queue.pop() {
-            order.push(u);
-            for &v in &self.succs[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    queue.push(v);
-                }
-            }
-        }
-        if order.len() == n {
-            Ok(order)
-        } else {
-            Err(DagError::Cyclic)
-        }
     }
 }
 
@@ -260,6 +309,31 @@ mod tests {
         let mut d = Dag::new(vec![1]);
         assert_eq!(d.add_edge(0, 5), Err(DagError::NodeOutOfRange(5)));
         assert_eq!(d.longest_path(0, 9), Err(DagError::NodeOutOfRange(9)));
+    }
+
+    #[test]
+    fn frozen_queries_match_fresh_solves_under_new_weights() {
+        // 0 → {1, 2} → 3; the first weights tie the two arms, and the tie
+        // must resolve as in a fresh solve.
+        let diamond = |weights: &[u64]| {
+            let mut d = Dag::new(weights.to_vec());
+            for (u, v) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+                d.add_edge(u, v).unwrap();
+            }
+            d
+        };
+        let frozen = diamond(&[0; 4]).freeze().unwrap();
+        for weights in [[1, 4, 4, 1], [1, 2, 9, 1], [0, 7, 3, 0]] {
+            assert_eq!(
+                frozen.longest_path(&weights, 0, 3),
+                diamond(&weights).longest_path(0, 3),
+                "{weights:?}"
+            );
+        }
+        assert_eq!(
+            frozen.longest_path(&[1; 4], 0, 7),
+            Err(DagError::NodeOutOfRange(7))
+        );
     }
 
     #[test]

@@ -70,12 +70,17 @@ impl Layout {
     /// Panics if `anchor` is not an instruction of `p`, or if the resulting
     /// base would underflow address zero.
     pub fn anchored(p: &Program, anchor: InstrId, anchor_addr: u64) -> Self {
-        let probe = Self::with_base(p, 0);
-        let off = probe.addrs[anchor.index()];
+        // Lay out once from zero, then shift: every instruction sits in a
+        // block of the layout order, so every address moves by `base`.
+        let mut layout = Self::with_base(p, 0);
         let base = anchor_addr
-            .checked_sub(off)
+            .checked_sub(layout.addrs[anchor.index()])
             .expect("anchored layout underflows address zero");
-        Self::with_base(p, base)
+        for a in &mut layout.addrs {
+            *a += base;
+        }
+        layout.base = base;
+        layout
     }
 
     /// Builds a layout from an explicit address assignment, one address

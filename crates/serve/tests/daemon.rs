@@ -265,6 +265,17 @@ fn protocol_errors_use_the_right_status_codes() {
     server.shutdown();
 }
 
+#[test]
+fn a_zero_run_count_is_a_bad_request() {
+    let server = Running::start(DaemonConfig::default());
+    let mut req = service_request(ServiceOp::Simulate, "bs", "2:16:512");
+    req.config.runs = Some(0);
+    let reply = server.post("/simulate", &encode_request(&req));
+    assert_eq!(reply.status, 400);
+    assert!(reply.body.contains("runs"), "{}", reply.body);
+    server.shutdown();
+}
+
 /// A head line that never ends is cut off at the head cap: the client
 /// sees a 400 or a closed connection instead of a worker buffering its
 /// bytes for as long as it stays connected.

@@ -1,12 +1,13 @@
-//! The abstract control-flow graph over *references* (paper Definition 6).
+//! The references of the abstract control-flow graph (paper
+//! Definition 6).
 //!
-//! Every instruction fetch in a VIVU context is a reference `r ∈ R`; edges
-//! give the execution order. The graph is polar (virtual source/sink are
-//! implicit: [`Acfg::entry_refs`] / nodes without successors) and acyclic —
-//! back edges were already broken by VIVU. The prefetch optimizer walks
-//! this graph in reverse topological order (the paper's `ACFG*` is its
-//! reversal, which we expose as [`Acfg::preds`] rather than materializing a
-//! second graph).
+//! Every instruction fetch in a VIVU context is a reference `r ∈ R`.
+//! Inside a VIVU node the references run in instruction order; between
+//! nodes, execution order lives in the VIVU graph itself, whose back edges
+//! are already broken, so [`Acfg`] stores no edges. The paper's reversed
+//! walk over `ACFG*` is the optimizer's `WcetPath` (in `rtpf-core`): the
+//! references of the on-path nodes, in topological order, scanned
+//! backwards.
 
 use rtpf_isa::{InstrId, Program};
 
@@ -41,149 +42,45 @@ pub struct Reference {
     pub node: NodeId,
 }
 
-/// The acyclic reference graph.
+/// The references of a program's VIVU expansion, grouped by node.
 ///
-/// References are allocated node by node in topological order, so ids are
-/// contiguous per VIVU node and the id sequence is itself a topological
-/// order. Adjacency is stored in compressed (offset + flat data) form —
-/// the graph is rebuilt for every candidate program the optimizer
-/// verifies, and one flat allocation beats thousands of per-reference
-/// vectors.
+/// References are allocated node by node in the VIVU graph's topological
+/// order, so each node's references are a contiguous id range and the id
+/// order is itself an execution order. The analysis rebuilds this for every candidate program
+/// the optimizer verifies (an insertion shifts every later id), so it
+/// holds nothing else: execution order between nodes lives in the VIVU
+/// graph.
 #[derive(Clone, Debug)]
 pub struct Acfg {
     refs: Vec<Reference>,
-    /// Identity sequence `r0, r1, …`; backs [`topo`](Acfg::topo) and the
-    /// per-node slices of [`refs_of_node`](Acfg::refs_of_node).
+    /// Identity sequence `r0, r1, …`; backs the per-node slices of
+    /// [`refs_of_node`](Acfg::refs_of_node).
     ids: Vec<RefId>,
-    succ_off: Vec<u32>,
-    succ_dat: Vec<RefId>,
-    pred_off: Vec<u32>,
-    pred_dat: Vec<RefId>,
-    entry_refs: Vec<RefId>,
-    /// Per VIVU node: the id range `[node_start[n], node_end[n])`.
-    node_start: Vec<u32>,
-    node_end: Vec<u32>,
+    /// Per VIVU node: its id range `start..end`.
+    node_range: Vec<(u32, u32)>,
 }
 
 impl Acfg {
-    /// Builds the reference graph of `p` over its VIVU expansion.
+    /// Builds the reference sequence of `p` over its VIVU expansion.
     pub fn build(p: &Program, vivu: &VivuGraph) -> Acfg {
-        let n = vivu.len();
         let mut refs: Vec<Reference> = Vec::new();
-        let mut node_start = vec![0u32; n];
-        let mut node_end = vec![0u32; n];
-
-        // Allocate references node by node in topological order so that the
-        // flattened order is itself topological.
+        let mut node_range = vec![(0u32, 0u32); vivu.len()];
         for &nd in vivu.topo() {
-            let block = vivu.node(nd).block;
-            node_start[nd.index()] = refs.len() as u32;
-            for &i in p.block(block).instrs() {
-                let id = RefId(refs.len() as u32);
+            let start = refs.len() as u32;
+            for &i in p.block(vivu.node(nd).block).instrs() {
                 refs.push(Reference {
-                    id,
+                    id: RefId(refs.len() as u32),
                     instr: i,
                     node: nd,
                 });
             }
-            node_end[nd.index()] = refs.len() as u32;
+            node_range[nd.index()] = (start, refs.len() as u32);
         }
-        let m = refs.len();
-        let ids: Vec<RefId> = (0..m as u32).map(RefId).collect();
-
-        // `first_of[n]`: the references where execution continues when it
-        // reaches node `n`; resolves through empty nodes. Computed in
-        // reverse topological order so successors are ready.
-        let mut first_of: Vec<Vec<RefId>> = vec![Vec::new(); n];
-        for &nd in vivu.topo().iter().rev() {
-            let i = nd.index();
-            if node_start[i] != node_end[i] {
-                first_of[i] = vec![RefId(node_start[i])];
-            } else {
-                let mut firsts: Vec<RefId> = Vec::new();
-                for &s in vivu.succs(nd) {
-                    for &f in &first_of[s.index()] {
-                        if !firsts.contains(&f) {
-                            firsts.push(f);
-                        }
-                    }
-                }
-                first_of[i] = firsts;
-            }
-        }
-
-        // Inter-node edges: last reference of a node to the first
-        // reference(s) of each successor (deduplicated).
-        let mut inter: Vec<(RefId, RefId)> = Vec::new();
-        for nd in 0..n {
-            if node_start[nd] == node_end[nd] {
-                continue;
-            }
-            let last = RefId(node_end[nd] - 1);
-            let before = inter.len();
-            for &s in vivu.succs(NodeId(nd as u32)) {
-                for &f in &first_of[s.index()] {
-                    if !inter[before..].iter().any(|&(_, t)| t == f) {
-                        inter.push((last, f));
-                    }
-                }
-            }
-        }
-
-        // Degree counts → offsets → fill, preserving the edge order of the
-        // nested-vector representation (intra-node chains first, then
-        // inter-node edges in node-index order).
-        let mut succ_off = vec![0u32; m + 1];
-        let mut pred_off = vec![0u32; m + 1];
-        for nd in 0..n {
-            if node_end[nd] > node_start[nd] {
-                for k in node_start[nd]..node_end[nd] - 1 {
-                    succ_off[k as usize + 1] += 1;
-                    pred_off[k as usize + 2] += 1;
-                }
-            }
-        }
-        for &(from, to) in &inter {
-            succ_off[from.index() + 1] += 1;
-            pred_off[to.index() + 1] += 1;
-        }
-        for i in 0..m {
-            succ_off[i + 1] += succ_off[i];
-            pred_off[i + 1] += pred_off[i];
-        }
-        let mut succ_cur: Vec<u32> = succ_off[..m].to_vec();
-        let mut pred_cur: Vec<u32> = pred_off[..m].to_vec();
-        let mut succ_dat = vec![RefId(0); succ_off[m] as usize];
-        let mut pred_dat = vec![RefId(0); pred_off[m] as usize];
-        for nd in 0..n {
-            if node_end[nd] > node_start[nd] {
-                for k in node_start[nd]..node_end[nd] - 1 {
-                    succ_dat[succ_cur[k as usize] as usize] = RefId(k + 1);
-                    succ_cur[k as usize] += 1;
-                    pred_dat[pred_cur[k as usize + 1] as usize] = RefId(k);
-                    pred_cur[k as usize + 1] += 1;
-                }
-            }
-        }
-        for &(from, to) in &inter {
-            succ_dat[succ_cur[from.index()] as usize] = to;
-            succ_cur[from.index()] += 1;
-            pred_dat[pred_cur[to.index()] as usize] = from;
-            pred_cur[to.index()] += 1;
-        }
-
-        let entry_refs = first_of[vivu.entry().index()].clone();
-
+        let ids = (0..refs.len() as u32).map(RefId).collect();
         Acfg {
             refs,
             ids,
-            succ_off,
-            succ_dat,
-            pred_off,
-            pred_dat,
-            entry_refs,
-            node_start,
-            node_end,
+            node_range,
         }
     }
 
@@ -203,46 +100,11 @@ impl Acfg {
         self.refs[id.index()]
     }
 
-    /// Execution-order successors of `id`.
-    #[inline]
-    pub fn succs(&self, id: RefId) -> &[RefId] {
-        let i = id.index();
-        &self.succ_dat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
-    }
-
-    /// Execution-order predecessors of `id` (the successors in the paper's
-    /// reversed `ACFG*`).
-    #[inline]
-    pub fn preds(&self, id: RefId) -> &[RefId] {
-        let i = id.index();
-        &self.pred_dat[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
-    }
-
-    /// References where execution starts (targets of the virtual source).
-    #[inline]
-    pub fn entry_refs(&self) -> &[RefId] {
-        &self.entry_refs
-    }
-
-    /// References with no successors (sources of the virtual sink).
-    pub fn exit_refs(&self) -> Vec<RefId> {
-        (0..self.refs.len())
-            .filter(|&i| self.succ_off[i] == self.succ_off[i + 1])
-            .map(|i| RefId(i as u32))
-            .collect()
-    }
-
-    /// A topological order of the references (execution order).
-    #[inline]
-    pub fn topo(&self) -> &[RefId] {
-        &self.ids
-    }
-
     /// References of a VIVU node, in instruction order.
     #[inline]
     pub fn refs_of_node(&self, n: NodeId) -> &[RefId] {
-        let i = n.index();
-        &self.ids[self.node_start[i] as usize..self.node_end[i] as usize]
+        let (start, end) = self.node_range[n.index()];
+        &self.ids[start as usize..end as usize]
     }
 
     /// Number of references.
@@ -271,18 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn straight_line_is_a_chain() {
-        let (p, _, a) = build(Shape::code(8));
-        assert_eq!(a.len(), p.instr_count());
-        assert_eq!(a.entry_refs().len(), 1);
-        assert_eq!(a.exit_refs().len(), 1);
-        for r in a.refs() {
-            assert!(a.succs(r.id).len() <= 1);
-            assert!(a.preds(r.id).len() <= 1);
-        }
-    }
-
-    #[test]
     fn loop_references_appear_twice() {
         let (p, _, a) = build(Shape::loop_(10, Shape::code(5)));
         // Loop header and body referenced in first and rest contexts.
@@ -294,29 +144,6 @@ mod tests {
         }
         assert!(count.values().all(|&c| c <= 2));
         assert!(count.values().any(|&c| c == 2));
-    }
-
-    #[test]
-    fn topo_respects_edges() {
-        let (_, _, a) = build(Shape::loop_(
-            4,
-            Shape::if_else(1, Shape::code(3), Shape::code(2)),
-        ));
-        let pos: std::collections::HashMap<RefId, usize> =
-            a.topo().iter().enumerate().map(|(i, &r)| (r, i)).collect();
-        for r in a.refs() {
-            for &s in a.succs(r.id) {
-                assert!(pos[&r.id] < pos[&s]);
-            }
-        }
-        assert_eq!(a.topo().len(), a.len());
-    }
-
-    #[test]
-    fn merge_points_have_multiple_preds() {
-        let (_, _, a) = build(Shape::if_else(1, Shape::code(3), Shape::code(2)));
-        let merges = a.refs().iter().filter(|r| a.preds(r.id).len() >= 2).count();
-        assert_eq!(merges, 1, "exactly the join after the diamond");
     }
 
     #[test]

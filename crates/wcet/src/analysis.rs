@@ -212,7 +212,7 @@ impl WcetAnalysis {
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
         Self::finish(
-            p,
+            cfg_signature(p),
             layout,
             vivu,
             acfg,
@@ -230,10 +230,11 @@ impl WcetAnalysis {
     }
 
     /// Shared tail of full and incremental analysis: timing vector, node
-    /// weights, IPET, and profile assembly.
+    /// weights, IPET, and profile assembly. `cfg_sig` is the analysed
+    /// program's `cfg_signature`.
     #[allow(clippy::too_many_arguments)]
     fn finish(
-        p: &Program,
+        cfg_sig: u64,
         layout: Layout,
         vivu: Arc<VivuGraph>,
         acfg: Acfg,
@@ -283,7 +284,8 @@ impl WcetAnalysis {
         };
         let (l2_class, l2_cac) = match &l2_cfg {
             Some(l2cfg) => {
-                let r = l2::classify_l2(&vivu, &acfg, l2cfg, &class, &cls.sigs)?;
+                let top = cache.topology(|| classify::build_topology(&vivu));
+                let r = l2::classify_l2(&vivu, &top, &acfg, l2cfg, &class, &cls.sigs)?;
                 (r.class, r.cac)
             }
             None => (Vec::new(), Vec::new()),
@@ -320,7 +322,9 @@ impl WcetAnalysis {
             })
             .collect::<Result<_, _>>()?;
 
-        let ipet = ipet::solve_dag(&vivu, &node_weight)?;
+        let ipet = cache
+            .ipet_graph(|| ipet::IpetGraph::build(&vivu))?
+            .solve(&vivu, node_weight)?;
         let n_w: Vec<u64> = acfg
             .refs()
             .iter()
@@ -359,7 +363,7 @@ impl WcetAnalysis {
             hw_next_line,
             refine,
             threads,
-            cfg_sig: cfg_signature(p),
+            cfg_sig,
             class,
             cheap_class,
             marks,
@@ -385,7 +389,7 @@ impl WcetAnalysis {
     /// changed input — are pushed through the must/may fixpoint, and
     /// recomputed node evaluations resolve from the lineage's shared memo
     /// whenever the same transfer was already applied to the same inputs;
-    /// IPET re-runs in full (it is a cheap DAG longest-path).
+    /// IPET re-solves the lineage's frozen graph under the new weights.
     ///
     /// The result is *identical* to a from-scratch
     /// [`analyze_hierarchy`](WcetAnalysis::analyze_hierarchy) of
@@ -402,7 +406,8 @@ impl WcetAnalysis {
         p2: &Program,
         layout2: Layout,
     ) -> Result<Self, AnalysisError> {
-        if cfg_signature(p2) != self.cfg_sig {
+        let cfg_sig = cfg_signature(p2);
+        if cfg_sig != self.cfg_sig {
             return Self::analyze_full(
                 p2,
                 layout2,
@@ -444,7 +449,7 @@ impl WcetAnalysis {
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
         let result = Self::finish(
-            p2,
+            cfg_sig,
             layout2,
             vivu,
             acfg,
@@ -474,6 +479,10 @@ impl WcetAnalysis {
             debug_assert_eq!(
                 result.tau_w, full.tau_w,
                 "incremental re-analysis diverged from from-scratch τ_w"
+            );
+            debug_assert_eq!(
+                result.on_path, full.on_path,
+                "incremental re-analysis diverged from from-scratch WCET path"
             );
             debug_assert_eq!(
                 result.class, full.class,

@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 use rtpf_cache::{join_pairs_into, CacheConfig, Classification, StatePair};
-use rtpf_isa::{InstrKind, Layout, MemBlockId, Program};
+use rtpf_isa::{BlockId, InstrKind, Layout, MemBlockId, Program};
 
 use crate::acfg::Acfg;
 use crate::error::AnalysisError;
@@ -198,32 +198,69 @@ pub fn classify_incremental(
     )
 }
 
-/// Fills `buf` with one node's touched-block signature: the per-reference
-/// sequence of `(own block, prefetch target block)` pairs, which
-/// determines the node's transfer function entirely (hardware next-line
-/// folds depend only on the fetched block). Reuses the caller's scratch
-/// buffer so a classify pass allocates no per-node signature vectors.
-/// `block_shift` is `log2(block_bytes)` — block sizes are validated powers
-/// of two, and this runs for every reference of every pass, so the
-/// address-to-block map is a shift rather than a 64-bit division.
-fn fill_node_sig(
+/// Fills `buf` with one basic block's touched-block signature: the
+/// per-instruction sequence of `(own block, prefetch target block)`
+/// pairs, which determines the transfer function of every context of the
+/// block (hardware next-line folds depend only on the fetched block).
+/// Reuses the caller's scratch buffer so a classify pass allocates no
+/// per-block signature vectors. `block_shift` is `log2(block_bytes)` —
+/// block sizes are validated powers of two, so the address-to-block map
+/// is a shift rather than a 64-bit division.
+fn fill_block_sig(
     p: &Program,
     layout: &Layout,
-    acfg: &Acfg,
     block_shift: u32,
-    nid: NodeId,
+    block: BlockId,
     buf: &mut Vec<(MemBlockId, Option<MemBlockId>)>,
 ) {
     buf.clear();
-    for &r in acfg.refs_of_node(nid) {
-        let reference = acfg.reference(r);
-        let own = MemBlockId(layout.addr(reference.instr) >> block_shift);
-        let pf = match p.instr(reference.instr).kind {
+    buf.extend(p.block(block).instrs().iter().map(|&i| {
+        let own = MemBlockId(layout.addr(i) >> block_shift);
+        let pf = match p.instr(i).kind {
             InstrKind::Prefetch { target } => Some(MemBlockId(layout.addr(target) >> block_shift)),
             _ => None,
         };
-        buf.push((own, pf));
+        (own, pf)
+    }));
+}
+
+/// Canonical touched-block signature of every VIVU node, plus — given the
+/// previous pass's signatures — which nodes' signatures changed.
+///
+/// All contexts of a basic block share its signature, so it is filled
+/// and tested once per block and its `Arc` shared by every context. An
+/// unchanged block keeps the previous pass's `Arc` (no hashing);
+/// everything else is interned through the lineage cache, so
+/// content-equal signatures across candidate analyses share one pointer
+/// and the memo key is a pure pointer tuple.
+fn node_sigs(
+    p: &Program,
+    layout: &Layout,
+    vivu: &VivuGraph,
+    block_shift: u32,
+    prev: Option<&[NodeSig]>,
+    cache: &AnalysisCache,
+) -> (Vec<NodeSig>, Option<Vec<bool>>) {
+    let mut scratch: Vec<(MemBlockId, Option<MemBlockId>)> = Vec::new();
+    // Per basic block: its signature and whether it changed, filled at
+    // the block's first context.
+    let mut per_block: Vec<Option<(NodeSig, bool)>> = vec![None; p.block_count()];
+    let mut sigs: Vec<NodeSig> = Vec::with_capacity(vivu.len());
+    let mut dirty: Option<Vec<bool>> = prev.map(|_| Vec::with_capacity(vivu.len()));
+    for (i, node) in vivu.nodes().iter().enumerate() {
+        let (sig, changed) = per_block[node.block.index()].get_or_insert_with(|| {
+            fill_block_sig(p, layout, block_shift, node.block, &mut scratch);
+            match prev {
+                Some(pv) if pv[i].as_slice() == scratch.as_slice() => (Arc::clone(&pv[i]), false),
+                _ => (cache.intern_sig(&scratch), true),
+            }
+        });
+        sigs.push(Arc::clone(sig));
+        if let Some(d) = &mut dirty {
+            d.push(*changed);
+        }
     }
+    (sigs, dirty)
 }
 
 /// Strongly connected components of the dataflow graph, in condensation
@@ -790,37 +827,7 @@ fn run_classify(
     let top = cache.topology(|| build_topology(vivu));
 
     let block_shift = config.block_bytes().trailing_zeros();
-    // Canonicalize signatures through the lineage cache: a node whose
-    // signature content is unchanged keeps the previous pass's `Arc`
-    // (no hashing), everything else is interned so content-equal
-    // signatures across candidate analyses share one pointer. The memo
-    // key is then a pure pointer tuple. `dirty[i]` falls out for free.
-    // One scratch buffer serves every node; the interner copies on miss.
-    let mut scratch: Vec<(MemBlockId, Option<MemBlockId>)> = Vec::new();
-    let mut sigs: Vec<NodeSig> = Vec::with_capacity(n);
-    let dirty: Option<Vec<bool>> = match prev {
-        Some(pv) => {
-            let mut d = Vec::with_capacity(n);
-            for i in 0..n {
-                fill_node_sig(p, layout, acfg, block_shift, NodeId(i as u32), &mut scratch);
-                if pv.sigs[i].as_slice() == scratch.as_slice() {
-                    sigs.push(Arc::clone(&pv.sigs[i]));
-                    d.push(false);
-                } else {
-                    sigs.push(cache.intern_sig(&scratch));
-                    d.push(true);
-                }
-            }
-            Some(d)
-        }
-        None => {
-            for i in 0..n {
-                fill_node_sig(p, layout, acfg, block_shift, NodeId(i as u32), &mut scratch);
-                sigs.push(cache.intern_sig(&scratch));
-            }
-            None
-        }
-    };
+    let (sigs, dirty) = node_sigs(p, layout, vivu, block_shift, prev.map(|pv| pv.sigs), cache);
 
     let published: Vec<OnceLock<NodeOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
     let shared = Shared {
@@ -1150,6 +1157,74 @@ mod tests {
         for (i, o) in inc.out_states.iter().zip(&full.out_states) {
             assert_eq!(**i, **o);
         }
+    }
+
+    #[test]
+    fn signatures_are_shared_per_block_and_dirty_exactly_where_blocks_moved() {
+        let cfg = CacheConfig::new(2, 16, 128).unwrap();
+        let bytes = cfg.block_bytes();
+        let shift = bytes.trailing_zeros();
+        let p1 = Shape::seq([
+            Shape::code(6),
+            Shape::loop_(
+                8,
+                Shape::seq([Shape::code(5), Shape::loop_(3, Shape::code(7))]),
+            ),
+            Shape::code(9),
+        ])
+        .compile("sig");
+        let layout1 = Layout::of(&p1);
+        let v = VivuGraph::build(&p1).unwrap();
+        let cache = AnalysisCache::new();
+        let (sigs1, dirty1) = node_sigs(&p1, &layout1, &v, shift, None, &cache);
+        assert!(dirty1.is_none());
+        for (a, b) in v.nodes().iter().zip(&sigs1) {
+            for (c, d) in v.nodes().iter().zip(&sigs1) {
+                if a.block == c.block {
+                    assert!(Arc::ptr_eq(b, d), "contexts of {:?} share one sig", a.block);
+                }
+            }
+        }
+
+        // Insert a prefetch into the last block: the suffix keeps its
+        // addresses, the prefix shifts down one slot.
+        let mut p2 = p1.clone();
+        let last = *p2.layout_order().last().unwrap();
+        let anchor = p2.block(last).instrs()[4];
+        let target = p2.block(p2.entry()).instrs()[0];
+        p2.insert_instr(last, 4, InstrKind::Prefetch { target })
+            .unwrap();
+        let layout2 = Layout::anchored(&p2, anchor, layout1.addr(anchor));
+        let (sigs2, dirty2) = node_sigs(&p2, &layout2, &v, shift, Some(&sigs1), &cache);
+        let dirty2 = dirty2.expect("incremental pass reports dirty bits");
+
+        // A block moved iff its sequence of fetched and prefetched memory
+        // blocks changed.
+        let touched = |p: &Program, l: &Layout, b| -> Vec<(MemBlockId, Option<MemBlockId>)> {
+            p.block(b)
+                .instrs()
+                .iter()
+                .map(|&i| {
+                    let pf = match p.instr(i).kind {
+                        InstrKind::Prefetch { target } => Some(l.block_of(target, bytes)),
+                        _ => None,
+                    };
+                    (l.block_of(i, bytes), pf)
+                })
+                .collect()
+        };
+        let mut moved_seen = [false; 2];
+        for (i, node) in v.nodes().iter().enumerate() {
+            let moved = touched(&p1, &layout1, node.block) != touched(&p2, &layout2, node.block);
+            moved_seen[usize::from(moved)] = true;
+            assert_eq!(dirty2[i], moved, "node {i} ({:?})", node.block);
+            assert_eq!(Arc::ptr_eq(&sigs2[i], &sigs1[i]), !moved, "node {i}");
+        }
+        assert_eq!(
+            moved_seen,
+            [true, true],
+            "the edit moves some blocks, not all"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! and via the general ILP encoding with flow-conservation constraints,
 //! used to cross-validate the fast path in tests.
 
-use rtpf_ilp::dag::{Dag, DagError};
+use rtpf_ilp::dag::{Dag, DagError, FrozenDag, LongestPath};
 use rtpf_ilp::{Cmp, LinearProgram};
 
 use crate::error::AnalysisError;
@@ -24,7 +24,76 @@ pub struct IpetResult {
     pub n_w: Vec<u64>,
 }
 
-/// Solves IPET as a longest path on the acyclic VIVU graph.
+/// Edges of the IPET graph of a VIVU expansion: its acyclic edges plus a
+/// virtual source (index `n`) into the entry and a virtual sink (`n + 1`)
+/// out of every exit.
+fn ipet_edges(vivu: &VivuGraph) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let n = vivu.len();
+    (0..n)
+        .flat_map(move |u| {
+            vivu.succs(NodeId(u as u32))
+                .iter()
+                .map(move |v| (u, v.index()))
+        })
+        .chain(std::iter::once((n, vivu.entry().index())))
+        .chain(vivu.exits().into_iter().map(move |e| (e.index(), n + 1)))
+}
+
+/// The IPET graph of a VIVU expansion with `n + 2` node weights.
+fn ipet_dag(vivu: &VivuGraph, weights: Vec<u64>) -> Result<Dag, AnalysisError> {
+    let mut dag = Dag::new(weights);
+    for (u, v) in ipet_edges(vivu) {
+        dag.add_edge(u, v).map_err(dag_error)?;
+    }
+    Ok(dag)
+}
+
+fn dag_error(e: DagError) -> AnalysisError {
+    match e {
+        DagError::Overflow => AnalysisError::Overflow,
+        e => AnalysisError::Ipet(e.to_string()),
+    }
+}
+
+/// The IPET graph of a VIVU expansion with its edges and topological
+/// order frozen. Prefetch insertion never changes the VIVU graph, so an
+/// analysis lineage builds this once and every candidate analysis only
+/// supplies node weights; the frozen order is the one
+/// [`solve_dag`]'s fresh graph uses, so both break ties between
+/// equal-weight paths identically.
+#[derive(Clone, Debug)]
+pub(crate) struct IpetGraph(FrozenDag);
+
+impl IpetGraph {
+    /// Freezes the IPET graph of `vivu`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AnalysisError::Ipet`] if the graph is malformed.
+    pub(crate) fn build(vivu: &VivuGraph) -> Result<IpetGraph, AnalysisError> {
+        let dag = ipet_dag(vivu, vec![0; vivu.len() + 2])?;
+        dag.freeze().map(IpetGraph).map_err(dag_error)
+    }
+
+    /// Solves IPET over this graph; `node_weight` as in [`solve_dag`].
+    ///
+    /// # Errors
+    ///
+    /// As [`solve_dag`].
+    pub(crate) fn solve(
+        &self,
+        vivu: &VivuGraph,
+        mut node_weight: Vec<u64>,
+    ) -> Result<IpetResult, AnalysisError> {
+        // Virtual source and sink weigh nothing.
+        node_weight.extend([0, 0]);
+        let n = vivu.len();
+        ipet_result(vivu, self.0.longest_path(&node_weight, n, n + 1))
+    }
+}
+
+/// Solves IPET as a longest path on the acyclic VIVU graph, building the
+/// graph afresh (an analysis lineage reuses one frozen graph instead).
 ///
 /// `node_weight[i]` must be the **total** WCET-scenario contribution of
 /// node `i` per program run, i.e. `Σ_r t_w(r) × mult(node)` over the node's
@@ -37,41 +106,29 @@ pub struct IpetResult {
 pub fn solve_dag(vivu: &VivuGraph, node_weight: &[u64]) -> Result<IpetResult, AnalysisError> {
     let n = vivu.len();
     assert_eq!(node_weight.len(), n, "one weight per VIVU node");
-    // Virtual source (n) and sink (n + 1).
     let mut weights = node_weight.to_vec();
-    weights.push(0);
-    weights.push(0);
-    let mut dag = Dag::new(weights);
-    for u in 0..n {
-        for &v in vivu.succs(NodeId(u as u32)) {
-            dag.add_edge(u, v.index())
-                .map_err(|e| AnalysisError::Ipet(e.to_string()))?;
-        }
-    }
-    dag.add_edge(n, vivu.entry().index())
-        .map_err(|e| AnalysisError::Ipet(e.to_string()))?;
-    for e in vivu.exits() {
-        dag.add_edge(e.index(), n + 1)
-            .map_err(|e| AnalysisError::Ipet(e.to_string()))?;
-    }
-    let lp = dag.longest_path(n, n + 1).map_err(|e| match e {
-        DagError::Overflow => AnalysisError::Overflow,
-        e => AnalysisError::Ipet(e.to_string()),
-    })?;
+    weights.extend([0, 0]);
+    ipet_result(vivu, ipet_dag(vivu, weights)?.longest_path(n, n + 1))
+}
+
+/// Maps a source-to-sink longest path onto the per-node IPET solution.
+fn ipet_result(
+    vivu: &VivuGraph,
+    lp: Result<LongestPath, DagError>,
+) -> Result<IpetResult, AnalysisError> {
+    let lp = lp.map_err(dag_error)?;
+    let n = vivu.len();
     let mut on_path = vec![false; n];
     for &node in &lp.path {
         if node < n {
             on_path[node] = true;
         }
     }
-    let n_w: Vec<u64> = (0..n)
-        .map(|i| {
-            if on_path[i] {
-                vivu.node(NodeId(i as u32)).mult
-            } else {
-                0
-            }
-        })
+    let n_w: Vec<u64> = vivu
+        .nodes()
+        .iter()
+        .zip(&on_path)
+        .map(|(node, &on)| if on { node.mult } else { 0 })
         .collect();
     Ok(IpetResult {
         tau_w: lp.value,
@@ -89,17 +146,7 @@ pub fn solve_dag(vivu: &VivuGraph, node_weight: &[u64]) -> Result<IpetResult, An
 /// Returns [`AnalysisError::Ipet`] if the instance is infeasible.
 pub fn solve_ilp(vivu: &VivuGraph, node_weight: &[u64]) -> Result<u64, AnalysisError> {
     let n = vivu.len();
-    // Collect edges including source (index n) and sink (n + 1).
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for u in 0..n {
-        for &v in vivu.succs(NodeId(u as u32)) {
-            edges.push((u, v.index()));
-        }
-    }
-    edges.push((n, vivu.entry().index()));
-    for e in vivu.exits() {
-        edges.push((e.index(), n + 1));
-    }
+    let edges: Vec<(usize, usize)> = ipet_edges(vivu).collect();
     let m = edges.len();
     let mut lp = LinearProgram::new(m);
     // Objective: weight of a node × its in-flow.

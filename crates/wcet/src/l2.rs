@@ -29,7 +29,7 @@ use rtpf_cache::{
 
 use crate::acfg::Acfg;
 use crate::error::AnalysisError;
-use crate::memo::NodeSig;
+use crate::memo::{NodeSig, Topology};
 use crate::vivu::{NodeId, VivuGraph};
 
 /// Per-reference outcome of the L2 pass.
@@ -52,13 +52,14 @@ const EVALS_PER_NODE: usize = 1_000_000;
 /// Classifies every reference against the L2 geometry, with updates
 /// filtered by the refined L1 classification.
 ///
-/// A worklist fixpoint over the VIVU graph with its back edges restored,
-/// processed in topological-position priority order. Uncomputed
-/// predecessors are ignored (the optimistic start: absent constraints for
-/// the must intersection, absent blocks for the may union); iteration
-/// repairs them.
+/// A worklist fixpoint over the lineage's dataflow [`Topology`] (the VIVU
+/// graph with its back edges restored), processed in topological-position
+/// priority order. Uncomputed predecessors are ignored (the optimistic
+/// start: absent constraints for the must intersection, absent blocks for
+/// the may union); iteration repairs them.
 pub(crate) fn classify_l2(
     vivu: &VivuGraph,
+    top: &Topology,
     acfg: &Acfg,
     l2: &CacheConfig,
     l1_class: &[Classification],
@@ -69,33 +70,6 @@ pub(crate) fn classify_l2(
         .iter()
         .map(|&c| CacheAccessClassification::from_l1(c))
         .collect();
-
-    // Adjacency with back edges restored (the VIVU graph proper is the
-    // acyclic forward expansion; loop latch → header edges live apart).
-    let mut preds: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            vivu.preds(NodeId(i as u32))
-                .iter()
-                .map(|p| p.index())
-                .collect()
-        })
-        .collect();
-    let mut succs: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            vivu.succs(NodeId(i as u32))
-                .iter()
-                .map(|s| s.index())
-                .collect()
-        })
-        .collect();
-    for &(latch, header) in vivu.back_edges() {
-        if !preds[header.index()].contains(&latch.index()) {
-            preds[header.index()].push(latch.index());
-        }
-        if !succs[latch.index()].contains(&header.index()) {
-            succs[latch.index()].push(header.index());
-        }
-    }
 
     let mut pos = vec![0usize; n];
     for (k, nid) in vivu.topo().iter().enumerate() {
@@ -125,7 +99,11 @@ pub(crate) fn classify_l2(
         }
 
         ins.clear();
-        ins.extend(preds[i].iter().filter_map(|&p| outs[p].clone()));
+        ins.extend(
+            top.preds(i)
+                .iter()
+                .filter_map(|&p| outs[p as usize].clone()),
+        );
         join_pairs_into(&mut scratch, &ins, &mut cursors);
 
         let mut state = scratch.clone();
@@ -143,7 +121,8 @@ pub(crate) fn classify_l2(
         };
         if changed {
             outs[i] = Some(Arc::new(state));
-            for &s in &succs[i] {
+            for &s in top.succs(i) {
+                let s = s as usize;
                 if !pending[s] {
                     pending[s] = true;
                     work.push(Reverse((pos[s], s)));
@@ -158,7 +137,11 @@ pub(crate) fn classify_l2(
     for &nid in vivu.topo() {
         let i = nid.index();
         ins.clear();
-        ins.extend(preds[i].iter().filter_map(|&p| outs[p].clone()));
+        ins.extend(
+            top.preds(i)
+                .iter()
+                .filter_map(|&p| outs[p as usize].clone()),
+        );
         join_pairs_into(&mut scratch, &ins, &mut cursors);
         let mut state = scratch.clone();
         transfer(

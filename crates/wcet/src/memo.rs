@@ -32,6 +32,8 @@ use rtpf_cache::{Classification, SharedInterner, StatePair};
 use rtpf_isa::MemBlockId;
 
 use crate::classify::WorkerState;
+use crate::error::AnalysisError;
+use crate::ipet::IpetGraph;
 
 /// A node's touched-block signature: for every reference in program
 /// order, the block it fetches and the block its prefetch targets (if it
@@ -292,13 +294,15 @@ const MEMO_SHARDS: usize = 16;
 /// `MEMO_SHARDS` independently locked maps keyed by the high bits of the
 /// evaluation hash, and out-states intern through a
 /// [`SharedInterner`]. Signatures keep one mutex — they are interned in
-/// the solver's sequential setup phase. The topology is a `OnceLock`
-/// (write-once, lock-free reads).
+/// the solver's sequential setup phase. The structures that depend only
+/// on the lineage's VIVU graph — the fixpoint topology and the frozen
+/// IPET graph — are `OnceLock`s (write-once, lock-free reads).
 pub struct AnalysisCache {
     interner: SharedInterner,
     sigs: Mutex<PreMap<NodeSig>>,
     memo: [Mutex<PreMap<Entry>>; MEMO_SHARDS],
     topo: OnceLock<Arc<Topology>>,
+    ipet: OnceLock<IpetGraph>,
     /// Pool of solver scratch states. A lineage runs thousands of classify
     /// passes over the same graph; recycling the node-indexed worker
     /// vectors (and the grown word/merge buffers inside) removes five
@@ -313,6 +317,7 @@ impl AnalysisCache {
             sigs: Mutex::new(PreMap::default()),
             memo: std::array::from_fn(|_| Mutex::new(PreMap::default())),
             topo: OnceLock::new(),
+            ipet: OnceLock::new(),
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -326,6 +331,18 @@ impl AnalysisCache {
     /// Returns the lineage's fixpoint topology, building it on first use.
     pub(crate) fn topology(&self, build: impl FnOnce() -> Topology) -> Arc<Topology> {
         Arc::clone(self.topo.get_or_init(|| Arc::new(build())))
+    }
+
+    /// Returns the lineage's frozen IPET graph, building it on first use.
+    pub(crate) fn ipet_graph(
+        &self,
+        build: impl FnOnce() -> Result<IpetGraph, AnalysisError>,
+    ) -> Result<&IpetGraph, AnalysisError> {
+        if let Some(g) = self.ipet.get() {
+            return Ok(g);
+        }
+        let g = build()?;
+        Ok(self.ipet.get_or_init(|| g))
     }
 
     /// Returns the canonical `Arc` for a signature, so content-equal
