@@ -6,7 +6,7 @@ use std::fmt;
 
 use rtpf_isa::MemBlockId;
 
-use crate::config::CacheConfig;
+use crate::config::{set_index, CacheConfig};
 use crate::policy::ReplacementPolicy;
 
 /// Result of one concrete cache access.
@@ -48,11 +48,19 @@ impl AccessOutcome {
 /// * **FIFO** — most-recently-*inserted* first (hits do not reorder);
 /// * **tree-PLRU** — physical way order (index = way number), with the
 ///   tree's direction bits kept beside the set.
+///
+/// The layout is flat and set-major: set `s` owns the `assoc` slots
+/// `ways[s * assoc..]`, of which the first `len[s]` are valid, in the
+/// order above. Hits and fills shift within the set's slots, and a clone
+/// is two allocations (three under tree-PLRU). No access ever invalidates
+/// a way, so slots past a set's fill count keep their initial value and
+/// the derived `Eq`/`Hash` compare exactly the per-set block sequences.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ConcreteState {
-    /// Per set: blocks in the policy-defined order above; length ≤
-    /// associativity.
-    sets: Vec<Vec<MemBlockId>>,
+    /// `n_sets × assoc` slots, set-major.
+    ways: Vec<MemBlockId>,
+    /// Per set: the number of valid slots (≤ associativity).
+    len: Vec<u32>,
     /// Per set for tree-PLRU: heap-indexed direction bits (bit `i` is
     /// internal node `i`, root at 1; 0 = victim path goes left). Empty for
     /// LRU and FIFO.
@@ -66,10 +74,12 @@ impl ConcreteState {
     /// An all-invalid cache (`ĉ_I`) for the given configuration.
     pub fn new(config: &CacheConfig) -> Self {
         let policy = config.policy();
+        let n_sets = config.n_sets() as usize;
         ConcreteState {
-            sets: vec![Vec::with_capacity(config.assoc() as usize); config.n_sets() as usize],
+            ways: vec![MemBlockId(0); n_sets * config.assoc() as usize],
+            len: vec![0; n_sets],
             plru_bits: match policy {
-                ReplacementPolicy::Plru => vec![0; config.n_sets() as usize],
+                ReplacementPolicy::Plru => vec![0; n_sets],
                 _ => Vec::new(),
             },
             policy,
@@ -80,78 +90,61 @@ impl ConcreteState {
 
     /// The update function `U` (Definition 1): reference `block`, applying
     /// the configured replacement policy, and report the outcome.
+    #[inline]
     pub fn access(&mut self, block: MemBlockId) -> AccessOutcome {
-        let set = (block.0 % u64::from(self.n_sets)) as usize;
-        match self.policy {
-            ReplacementPolicy::Lru => self.access_lru(set, block),
-            ReplacementPolicy::Fifo => self.access_fifo(set, block),
-            ReplacementPolicy::Plru => self.access_plru(set, block),
-        }
-    }
-
-    fn access_lru(&mut self, set: usize, block: MemBlockId) -> AccessOutcome {
-        let ways = &mut self.sets[set];
-        if let Some(pos) = ways.iter().position(|&b| b == block) {
-            // Hit: promote to MRU.
-            let b = ways.remove(pos);
-            ways.insert(0, b);
-            return AccessOutcome::Hit;
-        }
-        let evicted = if ways.len() == self.assoc as usize {
-            ways.pop()
-        } else {
-            None
-        };
-        ways.insert(0, block);
-        AccessOutcome::Miss { evicted }
-    }
-
-    fn access_fifo(&mut self, set: usize, block: MemBlockId) -> AccessOutcome {
-        let ways = &mut self.sets[set];
-        if ways.contains(&block) {
-            // Hit: FIFO never reorders on a hit.
-            return AccessOutcome::Hit;
-        }
-        // Miss: evict the oldest insertion (the back), insert at the front.
-        let evicted = if ways.len() == self.assoc as usize {
-            ways.pop()
-        } else {
-            None
-        };
-        ways.insert(0, block);
-        AccessOutcome::Miss { evicted }
-    }
-
-    fn access_plru(&mut self, set: usize, block: MemBlockId) -> AccessOutcome {
+        let set = set_index(block, self.n_sets);
         let assoc = self.assoc as usize;
-        if let Some(way) = self.sets[set].iter().position(|&b| b == block) {
-            plru_touch(&mut self.plru_bits[set], assoc, way);
-            return AccessOutcome::Hit;
-        }
-        if self.sets[set].len() < assoc {
-            // Fill an invalid way first (lowest free index).
-            let way = self.sets[set].len();
-            self.sets[set].push(block);
-            plru_touch(&mut self.plru_bits[set], assoc, way);
-            return AccessOutcome::Miss { evicted: None };
-        }
-        let way = plru_victim(self.plru_bits[set], assoc);
-        let evicted = std::mem::replace(&mut self.sets[set][way], block);
-        plru_touch(&mut self.plru_bits[set], assoc, way);
-        AccessOutcome::Miss {
-            evicted: Some(evicted),
+        let n = self.len[set] as usize;
+        let ways = &mut self.ways[set * assoc..(set + 1) * assoc];
+        let hit = ways[..n].iter().position(|&b| b == block);
+        match (self.policy, hit) {
+            (ReplacementPolicy::Lru, Some(pos)) => {
+                // Promote to MRU.
+                push_front(&mut ways[..=pos], block);
+                AccessOutcome::Hit
+            }
+            // FIFO never reorders on a hit.
+            (ReplacementPolicy::Fifo, Some(_)) => AccessOutcome::Hit,
+            (ReplacementPolicy::Plru, Some(way)) => {
+                plru_touch(&mut self.plru_bits[set], assoc, way);
+                AccessOutcome::Hit
+            }
+            (ReplacementPolicy::Lru | ReplacementPolicy::Fifo, None) => {
+                // Insert at the front; a full set drops its back (the LRU
+                // position / oldest insertion).
+                let dropped = push_front(&mut ways[..=n.min(assoc - 1)], block);
+                self.len[set] += u32::from(n < assoc);
+                AccessOutcome::Miss {
+                    evicted: (n == assoc).then_some(dropped),
+                }
+            }
+            (ReplacementPolicy::Plru, None) => {
+                // Fill the lowest invalid way first, else the tree's victim.
+                let way = if n < assoc {
+                    self.len[set] += 1;
+                    n
+                } else {
+                    plru_victim(self.plru_bits[set], assoc)
+                };
+                let evicted = (n == assoc).then(|| ways[way]);
+                ways[way] = block;
+                plru_touch(&mut self.plru_bits[set], assoc, way);
+                AccessOutcome::Miss { evicted }
+            }
         }
     }
 
     /// Whether `block` is currently cached.
     pub fn contains(&self, block: MemBlockId) -> bool {
-        let set = (block.0 % u64::from(self.n_sets)) as usize;
-        self.sets[set].contains(&block)
+        self.set(set_index(block, self.n_sets)).contains(&block)
     }
 
     /// The set of all cached blocks, `B(ĉ)` (Definition 9).
     pub fn blocks(&self) -> BTreeSet<MemBlockId> {
-        self.sets.iter().flatten().copied().collect()
+        (0..self.n_sets as usize)
+            .flat_map(|s| self.set(s))
+            .copied()
+            .collect()
     }
 
     /// Blocks of one set, in the policy-defined order (MRU first for LRU,
@@ -161,7 +154,8 @@ impl ConcreteState {
     ///
     /// Panics if `set` is out of range.
     pub fn set(&self, set: usize) -> &[MemBlockId] {
-        &self.sets[set]
+        let base = set * self.assoc as usize;
+        &self.ways[base..base + self.len[set] as usize]
     }
 
     /// The replacement policy this state runs under.
@@ -181,25 +175,19 @@ impl ConcreteState {
     pub fn assoc(&self) -> u32 {
         self.assoc
     }
+}
 
-    /// Predicts, without mutating, which block an access to `block` would
-    /// replace (Property 3 applied prospectively). Returns `None` on a hit
-    /// or a non-replacing fill.
-    pub fn would_evict(&self, block: MemBlockId) -> Option<MemBlockId> {
-        let set = (block.0 % u64::from(self.n_sets)) as usize;
-        let ways = &self.sets[set];
-        if ways.contains(&block) || ways.len() < self.assoc as usize {
-            return None;
-        }
-        match self.policy {
-            // LRU evicts the back (LRU position); FIFO the back (oldest
-            // insertion).
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => ways.last().copied(),
-            ReplacementPolicy::Plru => {
-                Some(ways[plru_victim(self.plru_bits[set], self.assoc as usize)])
-            }
-        }
+/// Puts `block` in `ways[0]`, shifting the rest of `ways` one slot back,
+/// and returns the block shifted out of the last slot. A carried swap
+/// rather than a `copy_within`, which would call `memmove` for a copy of
+/// a few words.
+#[inline]
+fn push_front(ways: &mut [MemBlockId], block: MemBlockId) -> MemBlockId {
+    let mut carry = block;
+    for w in ways {
+        carry = std::mem::replace(w, carry);
     }
+    carry
 }
 
 /// The way a full tree-PLRU set would evict: follow the direction bits
@@ -231,8 +219,8 @@ pub(crate) fn plru_touch(bits: &mut u64, assoc: usize, way: usize) {
 
 impl fmt::Display for ConcreteState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, ways) in self.sets.iter().enumerate() {
-            let cells: Vec<String> = ways.iter().map(|b| b.to_string()).collect();
+        for i in 0..self.n_sets as usize {
+            let cells: Vec<String> = self.set(i).iter().map(|b| b.to_string()).collect();
             writeln!(f, "set {i}: [{}]", cells.join(", "))?;
         }
         Ok(())
@@ -298,17 +286,6 @@ mod tests {
         assert_eq!(blocks.len(), 2);
     }
 
-    #[test]
-    fn would_evict_is_consistent_with_access() {
-        let mut c = one_set_two_way();
-        c.access(MemBlockId(1));
-        c.access(MemBlockId(2));
-        let predicted = c.would_evict(MemBlockId(5));
-        assert_eq!(c.access(MemBlockId(5)).evicted(), predicted);
-        // Hit case predicts no eviction.
-        assert_eq!(c.would_evict(MemBlockId(5)), None);
-    }
-
     fn one_set(assoc: u32, policy: ReplacementPolicy) -> ConcreteState {
         let cfg = CacheConfig::new(assoc, 16, assoc * 16)
             .unwrap()
@@ -335,7 +312,10 @@ mod tests {
         c.access(MemBlockId(2));
         assert_eq!(c.access(MemBlockId(3)).evicted(), Some(MemBlockId(1)));
         assert_eq!(c.access(MemBlockId(4)).evicted(), Some(MemBlockId(2)));
-        assert_eq!(c.would_evict(MemBlockId(5)), Some(MemBlockId(3)));
+        assert_eq!(
+            c.clone().access(MemBlockId(5)).evicted(),
+            Some(MemBlockId(3))
+        );
     }
 
     #[test]
@@ -348,11 +328,13 @@ mod tests {
             assert!(!c.access(MemBlockId(4 * b)).is_hit());
         }
         // Fill order 0,1,2,3 leaves the tree pointing at way 0.
-        assert_eq!(c.would_evict(MemBlockId(400)), Some(MemBlockId(40)));
+        assert_eq!(
+            c.clone().access(MemBlockId(400)).evicted(),
+            Some(MemBlockId(40))
+        );
         // Touching way 0 re-protects it; the victim flips to the other
         // subtree (way 2, least recently touched there).
         assert_eq!(c.access(MemBlockId(40)), AccessOutcome::Hit);
-        assert_eq!(c.would_evict(MemBlockId(400)), Some(MemBlockId(48)));
         let out = c.access(MemBlockId(400));
         assert_eq!(out.evicted(), Some(MemBlockId(48)));
         assert!(c.contains(MemBlockId(400)));
@@ -383,20 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn would_evict_matches_access_for_all_policies() {
-        for policy in ReplacementPolicy::ALL {
-            let mut c = one_set(4, policy);
-            let mut x = 7u64;
-            for _ in 0..2_000 {
-                x = x.wrapping_mul(48271) % 0x7fffffff;
-                let b = MemBlockId(4 * (x % 9));
-                let predicted = c.would_evict(b);
-                assert_eq!(c.access(b).evicted(), predicted, "{policy}");
-            }
-        }
-    }
-
-    #[test]
     fn different_sets_do_not_interfere() {
         let cfg = CacheConfig::new(1, 16, 64).unwrap(); // 4 sets, direct-mapped
         let mut c = ConcreteState::new(&cfg);
@@ -409,5 +377,101 @@ mod tests {
         assert!(c.contains(MemBlockId(1)));
         assert!(c.contains(MemBlockId(2)));
         assert!(c.contains(MemBlockId(3)));
+    }
+
+    /// The per-set `Vec` layout this model replaced, kept only as the
+    /// reference the flat layout must match access for access.
+    struct Reference {
+        sets: Vec<Vec<MemBlockId>>,
+        plru_bits: Vec<u64>,
+        policy: ReplacementPolicy,
+        assoc: usize,
+    }
+
+    impl Reference {
+        fn new(config: &CacheConfig) -> Self {
+            Reference {
+                sets: vec![Vec::new(); config.n_sets() as usize],
+                plru_bits: vec![0; config.n_sets() as usize],
+                policy: config.policy(),
+                assoc: config.assoc() as usize,
+            }
+        }
+
+        fn access(&mut self, block: MemBlockId) -> AccessOutcome {
+            let set = (block.0 % self.sets.len() as u64) as usize;
+            let ways = &mut self.sets[set];
+            let bits = &mut self.plru_bits[set];
+            let pos = ways.iter().position(|&b| b == block);
+            match (self.policy, pos) {
+                (ReplacementPolicy::Lru, Some(pos)) => {
+                    let b = ways.remove(pos);
+                    ways.insert(0, b);
+                    AccessOutcome::Hit
+                }
+                (ReplacementPolicy::Fifo, Some(_)) => AccessOutcome::Hit,
+                (ReplacementPolicy::Plru, Some(way)) => {
+                    plru_touch(bits, self.assoc, way);
+                    AccessOutcome::Hit
+                }
+                (ReplacementPolicy::Lru | ReplacementPolicy::Fifo, None) => {
+                    let evicted = if ways.len() == self.assoc {
+                        ways.pop()
+                    } else {
+                        None
+                    };
+                    ways.insert(0, block);
+                    AccessOutcome::Miss { evicted }
+                }
+                (ReplacementPolicy::Plru, None) if ways.len() < self.assoc => {
+                    ways.push(block);
+                    plru_touch(bits, self.assoc, ways.len() - 1);
+                    AccessOutcome::Miss { evicted: None }
+                }
+                (ReplacementPolicy::Plru, None) => {
+                    let way = plru_victim(*bits, self.assoc);
+                    let evicted = std::mem::replace(&mut ways[way], block);
+                    plru_touch(bits, self.assoc, way);
+                    AccessOutcome::Miss {
+                        evicted: Some(evicted),
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The flat layout and the reference model agree on every outcome,
+        /// every evicted block and every set's contents and order, across
+        /// geometries and all three policies.
+        #[test]
+        fn flat_layout_matches_the_per_set_reference(
+            geo in 0..6usize,
+            policy in 0..3usize,
+            blocks in proptest::collection::vec(0u64..160, 1..300),
+        ) {
+            let (a, b, c) = [
+                (1, 16, 64),    // direct-mapped, 4 sets
+                (2, 16, 32),    // single 2-way set
+                (4, 16, 256),   // 4 sets of 4 ways
+                (8, 16, 512),   // 4 sets of 8 ways
+                (2, 32, 1024),  // 16 sets
+                (16, 16, 256),  // single 16-way set
+            ][geo];
+            let config = CacheConfig::new(a, b, c)
+                .unwrap()
+                .with_policy(ReplacementPolicy::ALL[policy])
+                .unwrap();
+            let mut flat = ConcreteState::new(&config);
+            let mut reference = Reference::new(&config);
+            for (i, &block) in blocks.iter().enumerate() {
+                let block = MemBlockId(block);
+                let want = reference.access(block);
+                proptest::prop_assert_eq!(flat.access(block), want, "{} access {}", config, i);
+                for (s, ways) in reference.sets.iter().enumerate() {
+                    proptest::prop_assert_eq!(flat.set(s), &ways[..], "{} set {}", config, s);
+                }
+            }
+        }
     }
 }

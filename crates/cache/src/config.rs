@@ -7,6 +7,14 @@ use rtpf_isa::MemBlockId;
 
 use crate::policy::ReplacementPolicy;
 
+/// The set `block` maps to in a cache of `n_sets` sets: the low bits of
+/// the block number, a mask because [`CacheConfig::new`] admits only
+/// power-of-two geometries. The one set-index rule of every cache model.
+#[inline]
+pub(crate) fn set_index(block: MemBlockId, n_sets: u32) -> usize {
+    (block.0 & (u64::from(n_sets) - 1)) as usize
+}
+
 /// Error returned for an inconsistent cache geometry.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
@@ -198,7 +206,7 @@ impl CacheConfig {
     /// The set a memory block maps to.
     #[inline]
     pub fn set_of(&self, block: MemBlockId) -> usize {
-        (block.0 % u64::from(self.n_sets())) as usize
+        set_index(block, self.n_sets())
     }
 
     /// A configuration with the same block size, associativity, and

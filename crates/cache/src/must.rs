@@ -19,7 +19,7 @@ use std::fmt;
 
 use rtpf_isa::MemBlockId;
 
-use crate::config::CacheConfig;
+use crate::config::{set_index, CacheConfig};
 use crate::packed;
 
 /// Abstract must cache state.
@@ -308,12 +308,12 @@ impl MustState {
 
 impl fmt::Display for MustState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for s in 0..u64::from(self.n_sets) {
+        for s in 0..self.n_sets as usize {
             write!(f, "set {s}:")?;
             for h in 0..self.assoc {
                 let cells: Vec<String> = self
                     .iter()
-                    .filter(|e| e.0 .0 % u64::from(self.n_sets) == s && e.1 == h)
+                    .filter(|e| set_index(e.0, self.n_sets) == s && e.1 == h)
                     .map(|e| e.0.to_string())
                     .collect();
                 write!(f, " age{h}={{{}}}", cells.join(","))?;

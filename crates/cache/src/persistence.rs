@@ -16,7 +16,7 @@ use std::fmt;
 
 use rtpf_isa::MemBlockId;
 
-use crate::config::CacheConfig;
+use crate::config::{set_index, CacheConfig};
 
 /// Abstract persistence state.
 ///
@@ -56,7 +56,7 @@ impl PersistenceState {
 
     /// Max-age of `block` if tracked; `Some(assoc)` means ⊤.
     pub fn age(&self, block: MemBlockId) -> Option<u32> {
-        let set = (block.0 % u64::from(self.n_sets)) as usize;
+        let set = set_index(block, self.n_sets);
         for (h, bucket) in self.sets[set].iter().enumerate() {
             if bucket.binary_search(&block).is_ok() {
                 return Some(h as u32);
@@ -69,7 +69,7 @@ impl PersistenceState {
     /// already possibly-evicted — ⊤ is sticky); younger blocks age by one;
     /// blocks aging past the associativity fall into ⊤ and stay there.
     pub fn update(&mut self, block: MemBlockId) {
-        let set = (block.0 % u64::from(self.n_sets)) as usize;
+        let set = set_index(block, self.n_sets);
         let a = self.assoc as usize;
         let old = self.age(block).map(|h| h as usize);
         let buckets = &mut self.sets[set];

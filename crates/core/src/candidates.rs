@@ -57,6 +57,14 @@ pub fn scan_with_join(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<
     // Reverse out-state per node: the state *before* the node's first
     // reference, built by walking the node's references backwards.
     let mut rev_out: Vec<Option<ConcreteState>> = vec![None; vivu.len()];
+    // Forward predecessors yet to visit per node: the last one moves the
+    // state instead of cloning it, or drops it if it chose another.
+    let mut readers = vec![0u32; vivu.len()];
+    for &n in vivu.topo() {
+        for &s in vivu.succs(n) {
+            readers[s.index()] += 1;
+        }
+    }
     let mut found = Vec::new();
 
     for &n in vivu.topo().iter().rev() {
@@ -66,13 +74,18 @@ pub fn scan_with_join(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<
             JoinPolicy::WcetPath => succs.iter().find(|&&s| a.node_on_wcet_path(s)),
             JoinPolicy::FirstSucc => None,
         };
-        let chosen: Option<&ConcreteState> = preferred
-            .or_else(|| succs.first())
-            .and_then(|&s| rev_out[s.index()].as_ref());
-        let mut state = match chosen {
-            Some(s) => s.clone(),
-            None => ConcreteState::new(config), // the sink's ĉ_I
-        };
+        let mut state = match preferred.or_else(|| succs.first()) {
+            Some(&s) if readers[s.index()] == 1 => rev_out[s.index()].take(),
+            Some(&s) => rev_out[s.index()].clone(),
+            None => None,
+        }
+        .unwrap_or_else(|| ConcreteState::new(config)); // the sink's ĉ_I
+        for &s in succs {
+            readers[s.index()] -= 1;
+            if readers[s.index()] == 0 {
+                rev_out[s.index()] = None;
+            }
+        }
 
         for &r in acfg.refs_of_node(n).iter().rev() {
             let reference = acfg.reference(r);
@@ -81,11 +94,9 @@ pub fn scan_with_join(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<
                 let tb = a.layout().block_of(target, block_bytes);
                 state.access(tb);
             }
-            let mb = a.mem_block(r);
-            if let Some(evicted) = state.would_evict(mb) {
+            if let Some(evicted) = state.access(a.mem_block(r)).evicted() {
                 found.push(Candidate { r_i: r, evicted });
             }
-            state.access(mb);
         }
         rev_out[n.index()] = Some(state);
     }

@@ -85,7 +85,8 @@ pub struct CacheEngine {
     pub prefetch_useful: u64,
     /// Cycles spent stalling on in-flight prefetches.
     pub stall_cycles: u64,
-    /// Blocks most recently installed by a prefetch (for usefulness stats).
+    /// Cached blocks installed by a completed prefetch and not yet hit
+    /// (for usefulness stats); every eviction removes its block.
     prefetched: BTreeSet<MemBlockId>,
 }
 
@@ -141,16 +142,24 @@ impl CacheEngine {
         self.locked = Some(contents);
     }
 
+    /// Installs a prefetched block as a fill (not a demand access). A
+    /// block the fill evicts stops counting as prefetched.
+    fn install(&mut self, block: MemBlockId) {
+        if let Some(ev) = self.cache.access(block).evicted() {
+            self.prefetched.remove(&ev);
+        }
+        self.stats.fills += 1;
+    }
+
     /// Completes every prefetch whose latency has elapsed, installing the
-    /// block (counted as a fill, not a demand access).
+    /// block and marking it prefetched until its first demand hit.
     fn drain_inflight(&mut self) {
         let now = self.cycle;
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].1 <= now {
                 let (block, _) = self.inflight.swap_remove(i);
-                self.cache.access(block);
-                self.stats.fills += 1;
+                self.install(block);
                 self.prefetched.insert(block);
             } else {
                 i += 1;
@@ -160,10 +169,43 @@ impl CacheEngine {
 
     /// A demand instruction fetch of `block`. Advances the clock and
     /// returns whether it hit.
+    ///
+    /// With no prefetch in flight and nothing locked (the common case)
+    /// the fetch is one cache access plus counter updates.
     pub fn fetch(&mut self, block: MemBlockId) -> bool {
-        self.drain_inflight();
         self.stats.accesses += 1;
+        if !self.inflight.is_empty() || self.locked.is_some() {
+            if let Some(hit) = self.fetch_pending(block) {
+                self.stats.cycles = self.cycle;
+                return hit;
+            }
+        }
 
+        let outcome = self.cache.access(block);
+        if outcome.is_hit() {
+            self.stats.hits += 1;
+            if !self.prefetched.is_empty() && self.prefetched.remove(&block) {
+                self.prefetch_useful += 1;
+            }
+            self.cycle += self.timing.hit_cycles;
+        } else {
+            self.stats.misses += 1;
+            self.stats.fills += 1;
+            self.cycle += self.memory_latency(block);
+            if let Some(ev) = outcome.evicted().filter(|_| !self.prefetched.is_empty()) {
+                self.prefetched.remove(&ev);
+            }
+        }
+        self.stats.cycles = self.cycle;
+        outcome.is_hit()
+    }
+
+    /// The part of a fetch only prefetches and locking need: completes the
+    /// elapsed prefetches, then serves the fetch outright if the cache is
+    /// locked or `block` is still in flight. `None` leaves the fetch to
+    /// the plain cache access.
+    fn fetch_pending(&mut self, block: MemBlockId) -> Option<bool> {
+        self.drain_inflight();
         if let Some(locked) = &self.locked {
             // Locked cache: locked blocks hit, everything else goes to DRAM
             // every time (no fill, no pollution).
@@ -178,44 +220,22 @@ impl CacheEngine {
                 self.cycle += self.memory_latency(block);
                 self.stats.fills += 1; // the block transfer still happens
             }
-            self.stats.cycles = self.cycle;
-            return hit;
+            return Some(hit);
         }
 
         // An in-flight prefetch of this block: stall for the remaining
-        // latency, then count as a (prefetch-assisted) hit.
-        if let Some(pos) = self.inflight.iter().position(|&(b, _)| b == block) {
-            let (b, ready) = self.inflight.swap_remove(pos);
-            let wait = ready.saturating_sub(self.cycle);
-            self.stall_cycles += wait;
-            self.cycle += wait;
-            self.cache.access(b);
-            self.stats.fills += 1;
-            self.prefetched.insert(b);
-            self.stats.hits += 1;
-            self.prefetch_useful += 1;
-            self.cycle += self.timing.hit_cycles;
-            self.stats.cycles = self.cycle;
-            return true;
-        }
-
-        let outcome = self.cache.access(block);
-        if outcome.is_hit() {
-            self.stats.hits += 1;
-            if self.prefetched.remove(&block) {
-                self.prefetch_useful += 1;
-            }
-            self.cycle += self.timing.hit_cycles;
-        } else {
-            self.stats.misses += 1;
-            self.stats.fills += 1;
-            self.cycle += self.memory_latency(block);
-            if let Some(ev) = outcome.evicted() {
-                self.prefetched.remove(&ev);
-            }
-        }
-        self.stats.cycles = self.cycle;
-        outcome.is_hit()
+        // latency, then count as a (prefetch-assisted) hit. The prefetch is
+        // used up here, so the block is not marked prefetched.
+        let pos = self.inflight.iter().position(|&(b, _)| b == block)?;
+        let (b, ready) = self.inflight.swap_remove(pos);
+        let wait = ready.saturating_sub(self.cycle);
+        self.stall_cycles += wait;
+        self.cycle += wait;
+        self.install(b);
+        self.stats.hits += 1;
+        self.prefetch_useful += 1;
+        self.cycle += self.timing.hit_cycles;
+        Some(true)
     }
 
     /// A demand fetch of `block` immediately followed by `n - 1` repeat
@@ -243,14 +263,10 @@ impl CacheEngine {
             }
             return hit;
         }
+        // The first fetch already consumed any `prefetched` entry, so the
+        // repeat hits are pure counter arithmetic.
         self.stats.accesses += rest;
         self.stats.hits += rest;
-        // Mirrors the per-repeat bookkeeping; by this point the first
-        // fetch has already consumed any `prefetched` entry, so this is
-        // the same no-op the individual hits would perform.
-        if self.prefetched.remove(&block) {
-            self.prefetch_useful += 1;
-        }
         self.cycle += rest * self.timing.hit_cycles;
         self.stats.cycles = self.cycle;
         hit
@@ -332,6 +348,31 @@ mod tests {
         let hit = e.fetch(MemBlockId(9));
         assert!(hit, "prefetched block must hit");
         assert_eq!(e.stall_cycles, 0);
+        assert_eq!(e.prefetch_useful, 1);
+    }
+
+    #[test]
+    fn a_prefetch_evicted_unused_is_never_counted_useful() {
+        // One direct-mapped line. 10's fill evicts the unused 9 while both
+        // drain, so 9's later demand miss and hit owe nothing to a prefetch.
+        let mut e = CacheEngine::new(
+            &CacheConfig::new(1, 16, 16).unwrap(),
+            MemTiming::with_miss_penalty(20),
+        );
+        e.prefetch(MemBlockId(9));
+        e.prefetch(MemBlockId(10));
+        for b in [1, 1, 9, 9] {
+            e.fetch(MemBlockId(b));
+        }
+        assert_eq!(e.prefetch_useful, 0);
+    }
+
+    #[test]
+    fn an_in_flight_hit_uses_up_its_prefetch() {
+        let mut e = engine();
+        e.prefetch(MemBlockId(9));
+        assert!(e.fetch(MemBlockId(9)), "stalls on the in-flight fill");
+        assert!(e.fetch(MemBlockId(9)));
         assert_eq!(e.prefetch_useful, 1);
     }
 

@@ -1,6 +1,5 @@
 //! CFG walker: executes a program under a branch-behaviour policy.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -80,13 +79,8 @@ impl Error for SimError {}
 #[derive(Clone, Debug)]
 enum Seg {
     /// `n` consecutive instructions mapping to the same memory block
-    /// (batched via [`CacheEngine::fetch_run`]); `last_addr` is the
-    /// address of the run's final instruction.
-    Fetch {
-        mb: MemBlockId,
-        n: u32,
-        last_addr: u64,
-    },
+    /// (batched via [`CacheEngine::fetch_run`]).
+    Fetch { mb: MemBlockId, n: u32 },
     /// A software prefetch action, issued after the owning instruction's
     /// fetch (which is part of the preceding `Fetch` run).
     Prefetch { target: MemBlockId },
@@ -124,22 +118,10 @@ impl WalkPlan {
             }
             let v = &mut segs[b.index()];
             for &i in p.block(b).instrs() {
-                let addr = layout.addr(i);
                 let mb = layout.block_of(i, block_bytes);
                 match v.last_mut() {
-                    Some(Seg::Fetch {
-                        mb: m,
-                        n,
-                        last_addr,
-                    }) if *m == mb => {
-                        *n += 1;
-                        *last_addr = addr;
-                    }
-                    _ => v.push(Seg::Fetch {
-                        mb,
-                        n: 1,
-                        last_addr: addr,
-                    }),
+                    Some(Seg::Fetch { mb: m, n }) if *m == mb => *n += 1,
+                    _ => v.push(Seg::Fetch { mb, n: 1 }),
                 }
                 if let InstrKind::Prefetch { target } = p.instr(i).kind {
                     v.push(Seg::Prefetch {
@@ -276,7 +258,8 @@ impl Simulator {
     ) -> Result<u64, SimError> {
         let mut rng = StdRng::seed_from_u64(seed);
         let block_bytes = self.hierarchy.l1().block_bytes();
-        let mut counters: HashMap<BlockId, u64> = HashMap::new();
+        // Remaining iterations per loop header, by block index.
+        let mut counters = vec![0u64; p.block_count()];
         let mut fetched: u64 = 0;
 
         let choose_iters = |rng: &mut StdRng, bound: u32| -> u64 {
@@ -288,21 +271,20 @@ impl Simulator {
 
         let mut cur = p.entry();
         if let Some(bound) = plan.bound[cur.index()] {
-            counters.insert(cur, choose_iters(&mut rng, bound));
+            counters[cur.index()] = choose_iters(&mut rng, bound);
         }
+        // Address of the block's last instruction; only the hardware
+        // prefetcher reads it.
+        let mut last_addr = 0;
         loop {
             // Fetch the block's instructions. With a hardware prefetcher
             // attached, every fetch is reported individually at its exact
             // address; otherwise the precompiled fetch runs collapse the
             // per-instruction loop into one engine call per memory block.
-            let mut last_addr = layout.addr(
-                *p.block(cur)
-                    .instrs()
-                    .first()
-                    .unwrap_or(&rtpf_isa::InstrId(0)),
-            );
             if let Some(hw) = hw.as_deref_mut() {
-                for &i in p.block(cur).instrs() {
+                let instrs = p.block(cur).instrs();
+                last_addr = layout.addr(*instrs.last().unwrap_or(&rtpf_isa::InstrId(0)));
+                for &i in instrs {
                     fetched += 1;
                     if fetched > self.sim.max_fetches {
                         return Err(SimError::FetchCapExceeded {
@@ -310,7 +292,6 @@ impl Simulator {
                         });
                     }
                     let addr = layout.addr(i);
-                    last_addr = addr;
                     let mb = layout.block_of(i, block_bytes);
                     let hit = engine.fetch(mb);
                     for s in hw.on_fetch(addr, mb, !hit) {
@@ -323,11 +304,7 @@ impl Simulator {
             } else {
                 for seg in &plan.segs[cur.index()] {
                     match *seg {
-                        Seg::Fetch {
-                            mb,
-                            n,
-                            last_addr: a,
-                        } => {
+                        Seg::Fetch { mb, n } => {
                             fetched += u64::from(n);
                             if fetched > self.sim.max_fetches {
                                 return Err(SimError::FetchCapExceeded {
@@ -335,7 +312,6 @@ impl Simulator {
                                 });
                             }
                             engine.fetch_run(mb, n);
-                            last_addr = a;
                         }
                         Seg::Prefetch { target } => engine.prefetch(target),
                     }
@@ -348,7 +324,7 @@ impl Simulator {
                 break;
             }
             let next = if plan.bound[cur.index()].is_some() {
-                let c = counters.get_mut(&cur).expect("counter set on entry");
+                let c = &mut counters[cur.index()];
                 let want_body = *c > 0;
                 if want_body {
                     *c -= 1;
@@ -381,24 +357,20 @@ impl Simulator {
             } else {
                 succs[rng.gen_range(0..succs.len())].0
             };
-            let kind = succs
-                .iter()
-                .find(|&&(s, _)| s == next)
-                .map(|&(_, k)| k)
-                .expect("chosen successor exists");
-
             // Loop-entry counter reset: entering a header from outside its
             // body starts a fresh iteration count.
             if let Some(bound) = plan.bound[next.index()] {
                 if !plan.in_body(next, cur) {
-                    counters.insert(next, choose_iters(&mut rng, bound));
+                    counters[next.index()] = choose_iters(&mut rng, bound);
                 }
             }
 
             if let Some(hw) = hw.as_deref_mut() {
                 if let Some(&first) = p.block(next).instrs().first() {
                     let tb = layout.block_of(first, block_bytes);
-                    let taken = kind == rtpf_isa::EdgeKind::Taken;
+                    // The edge kind of the first matching successor.
+                    let kind = succs.iter().find(|&&(s, _)| s == next).map(|&(_, k)| k);
+                    let taken = kind == Some(rtpf_isa::EdgeKind::Taken);
                     for s in hw.on_branch(last_addr, tb, taken) {
                         engine.prefetch(s);
                     }

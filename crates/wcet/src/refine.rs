@@ -301,8 +301,7 @@ pub(crate) fn refine_classification(
     if !refine.applies_to(config.policy()) || hw_next_line.is_some() {
         return (marks, stats);
     }
-    let n_sets = u64::from(config.n_sets());
-    let set_of = |b: MemBlockId| b.0 % n_sets;
+    let set_of = |b: MemBlockId| config.set_of(b) as u64;
 
     // Sets to explore: every set with an unclassified reference. (Under
     // FIFO/PLRU all of these are sentinel-caused — `NcCause::Sentinel` —
