@@ -237,12 +237,6 @@ impl HierarchyOutcome {
     pub fn is_l1_hit(&self) -> bool {
         matches!(self, HierarchyOutcome::L1Hit)
     }
-
-    /// Whether the access reached the second level.
-    #[inline]
-    pub fn accessed_l2(&self) -> bool {
-        !matches!(self, HierarchyOutcome::L1Hit)
-    }
 }
 
 /// Exact two-level cache state: the fill-inclusive, no-back-invalidation

@@ -173,13 +173,14 @@ const SHARDS: usize = 16;
 
 /// A concurrency-safe [`StateInterner`], sharded by content hash.
 ///
-/// The parallel classify fixpoint interns out-states from every worker
-/// thread; one global lock would serialize exactly the hot path the
-/// SCC-DAG scheduling parallelizes. Each shard owns a disjoint slice of
-/// the hash space behind its own mutex, and a shard's lock is held across
-/// the whole check-then-insert, so content-equal pairs always resolve to
-/// one canonical `Arc` — the invariant the pointer-keyed evaluation memo
-/// depends on — no matter how many threads race.
+/// Speculative verification runs several analyses of one lineage at once,
+/// each interning out-states into the lineage's shared interner; one
+/// global lock would serialize their hot paths. Each shard owns a
+/// disjoint slice of the hash space behind its own mutex, and a shard's
+/// lock is held across the whole check-then-insert, so content-equal
+/// pairs always resolve to one canonical `Arc` — the invariant the
+/// pointer-keyed evaluation memo depends on — no matter how many threads
+/// race.
 #[derive(Default, Debug)]
 pub struct SharedInterner {
     shards: [Mutex<StateInterner>; SHARDS],

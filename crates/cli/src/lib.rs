@@ -128,8 +128,8 @@ pub struct Options {
     /// scheduler partitioned into `N` worker groups (see
     /// [`rtpf_engine::Grid`]); absent = the classic serial sweep.
     pub shards: Option<usize>,
-    /// `--threads N`: analysis worker threads per engine (classify
-    /// fixpoint SCC scheduling + refinement fan-out; `0` = one per core).
+    /// `--threads N`: analysis worker threads per engine (the FIFO/PLRU
+    /// per-set refinement fan-out; `0` = one per core).
     /// Outputs are byte-identical at any count. Absent = auto, except
     /// under `--shards`, where it defaults to 1 so the grid workers do
     /// not oversubscribe the cores.
@@ -421,9 +421,10 @@ the whole pipeline then runs the two-level Hardy/Puaut analysis
 (DESIGN.md §14). `--refine` toggles
 the exact per-set FIFO/PLRU refinement of unclassified references
 (DESIGN.md §12; on by default, a no-op under lru) and `--refine-budget`
-caps its per-node state count (default 64). `--threads` sets the analysis
-worker threads per engine (0 = one per core; results are byte-identical
-at any count, DESIGN.md §13). `audit` runs the IR lints and
+caps its per-node state count (default 64). `--threads` sets the worker
+threads per engine for that refinement's per-set fan-out (0 = one per
+core; the classify fixpoint is sequential; results are byte-identical at
+any count, DESIGN.md §13). `audit` runs the IR lints and
 the abstract-vs-concrete soundness audit (plus the transform audit with
 --optimize) over every Table 2 configuration unless --cache narrows it;
 deny-level findings make the command fail. `analyze`, `optimize` and

@@ -18,7 +18,7 @@
 
 use rtpf_cache::ConcreteState;
 use rtpf_isa::{InstrKind, MemBlockId, Program};
-use rtpf_wcet::{NodeId, RefId, WcetAnalysis};
+use rtpf_wcet::{RefId, WcetAnalysis};
 
 /// A detected opportunity: the near-future block `evicted` conflicts at
 /// `r_i` and deserves a prefetch at `(r_i, r_{i+1})`.
@@ -102,11 +102,6 @@ pub fn scan_with_join(p: &Program, a: &WcetAnalysis, policy: JoinPolicy) -> Vec<
     }
     found.reverse();
     found
-}
-
-/// Convenience: the VIVU node of a candidate's `r_i`.
-pub fn node_of(a: &WcetAnalysis, c: &Candidate) -> NodeId {
-    a.acfg().reference(c.r_i).node
 }
 
 #[cfg(test)]

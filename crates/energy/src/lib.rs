@@ -231,11 +231,6 @@ impl EnergyModel {
         self.l2.map(|l2| EnergyModel::new(&l2, self.tech))
     }
 
-    /// The technology node being modelled.
-    pub fn technology(&self) -> Technology {
-        self.tech
-    }
-
     /// Dynamic energy of one cache read (tag + data) in nJ.
     pub fn read_energy_nj(&self) -> f64 {
         let cap = f64::from(self.config.capacity_bytes()) / BASE_CAPACITY;

@@ -69,10 +69,10 @@ pub struct EngineConfig {
     /// Result-invariant execution strategy knob (identical outputs per
     /// `OptimizeParams` docs), excluded from the artifact fingerprint.
     verify_workers: usize,
-    /// Worker threads for the classify fixpoint (SCC-DAG scheduling) and
-    /// the per-set refinement fan-out; `0` = one per core. Result-invariant
-    /// like `verify_workers` (DESIGN.md §13), so excluded from the
-    /// fingerprint.
+    /// Worker threads for the per-set refinement fan-out (FIFO/PLRU; idle
+    /// under LRU); `0` = one per core. The classify fixpoint is
+    /// sequential. Result-invariant like `verify_workers` (DESIGN.md §13),
+    /// so excluded from the fingerprint.
     threads: usize,
     severity: SeverityConfig,
 }
@@ -214,9 +214,9 @@ impl EngineConfig {
     }
 
     /// Sets the analysis worker-thread count (`0` = one per core). Threads
-    /// drive the classify fixpoint's SCC-DAG scheduler and the per-set
-    /// refinement fan-out; outputs are byte-identical at any count
-    /// (DESIGN.md §13).
+    /// drive only the per-set refinement fan-out, which has work under
+    /// FIFO/PLRU and none under LRU; outputs are byte-identical at any
+    /// count (DESIGN.md §13).
     pub fn with_threads(mut self, threads: usize) -> EngineConfig {
         self.threads = threads;
         self

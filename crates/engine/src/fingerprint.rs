@@ -99,11 +99,6 @@ impl FpHasher {
         self.write_bytes(s.as_bytes());
     }
 
-    /// Absorbs an `f64` by bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
     /// Absorbs a previously computed fingerprint.
     pub fn write_fp(&mut self, fp: Fingerprint) {
         self.write_u64(fp.0);

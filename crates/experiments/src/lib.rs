@@ -211,21 +211,16 @@ pub fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().div_ceil(4))
 }
 
-/// Computes the LRU sweep from scratch on the engine's work-stealing
-/// grid.
+/// Computes the sweep for `policy` from scratch on the engine's
+/// work-stealing grid.
 ///
 /// Each unit runs in an ephemeral engine with a private store: no two
 /// units share a `(program, configuration)` pair, so there is nothing to
 /// reuse across them, and dropping each unit's intermediate artifacts
 /// (analyses, optimize results, simulations) immediately keeps the
-/// sweep's memory footprint flat.
-pub fn run_sweep() -> Vec<UnitResult> {
-    run_sweep_for(ReplacementPolicy::Lru)
-}
-
-/// [`run_sweep`], for any replacement policy. The grid runs sharded (one
-/// worker group per [`default_shards`] slice), so wide machines do not
-/// convoy on a single claim counter while sharing the results store.
+/// sweep's memory footprint flat. The grid runs sharded (one worker
+/// group per [`default_shards`] slice), so wide machines do not convoy on
+/// a single claim counter while sharing the results store.
 pub fn run_sweep_for(policy: ReplacementPolicy) -> Vec<UnitResult> {
     let suite = rtpf_suite::catalog();
     let configs = paper_configs_for(policy);

@@ -1,6 +1,7 @@
 //! Thread-count determinism of the sweep artifact: the same units
 //! rendered to CSV must be byte-identical whether each unit's engine
-//! solves its fixpoints on one worker thread or several. This is the
+//! runs its per-set refinement fan-out on one worker thread or several
+//! (the classify fixpoint is sequential either way). This is the
 //! end-to-end (engine + Figure-5 probes + CSV serialization) counterpart
 //! of the `rtpf-wcet` parallel-vs-sequential property test.
 

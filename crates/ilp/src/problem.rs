@@ -146,11 +146,6 @@ impl LpOutcome {
             _ => None,
         }
     }
-
-    /// Whether the outcome is [`LpOutcome::Optimal`].
-    pub fn is_optimal(&self) -> bool {
-        matches!(self, LpOutcome::Optimal(_))
-    }
 }
 
 impl fmt::Display for LpOutcome {

@@ -126,17 +126,6 @@ impl Program {
         self.entry
     }
 
-    /// Re-designates the entry block.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ProgramError::UnknownBlock`] if `entry` does not exist.
-    pub fn set_entry(&mut self, entry: BlockId) -> Result<(), ProgramError> {
-        self.check_block(entry)?;
-        self.entry = entry;
-        Ok(())
-    }
-
     /// Appends a fresh, empty basic block (also appended to layout order).
     pub fn add_block(&mut self) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);

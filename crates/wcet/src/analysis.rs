@@ -51,8 +51,8 @@ pub struct WcetAnalysis {
     timing: MemTiming,
     hw_next_line: Option<u32>,
     refine: RefineConfig,
-    /// Worker threads for the classify fixpoint and the refinement
-    /// fan-out; inherited by incremental re-analyses of this lineage.
+    /// Worker threads for the refinement's per-set fan-out; inherited by
+    /// incremental re-analyses of this lineage.
     threads: usize,
     /// Fingerprint of the analysed program's CFG (blocks, edges, loop
     /// bounds); incremental re-analysis requires it to be unchanged.
@@ -135,11 +135,11 @@ impl WcetAnalysis {
     ///
     /// `refine` configures the exact FIFO/tree-PLRU refinement; under LRU
     /// or with refinement disabled the result is bit-identical to the
-    /// unrefined analysis. The classify fixpoint's ready SCCs — and the
-    /// refinement's per-set explorations — run on `threads` scoped worker
-    /// threads (`1` = sequential). Results are bit-identical at any thread
-    /// count; incremental re-analyses derived from this analysis inherit
-    /// the same thread count.
+    /// unrefined analysis. The refinement's per-set explorations run on
+    /// `threads` scoped worker threads (`1` = sequential); the classify
+    /// fixpoint itself is sequential. Results are bit-identical at any
+    /// thread count; incremental re-analyses derived from this analysis
+    /// inherit the same thread count.
     ///
     /// # Errors
     ///
@@ -207,7 +207,6 @@ impl WcetAnalysis {
             hierarchy.l1(),
             hw_next_line,
             &cache,
-            threads,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
@@ -444,7 +443,6 @@ impl WcetAnalysis {
                 sigs: &self.sigs,
             },
             &self.cache,
-            self.threads,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 

@@ -19,22 +19,15 @@
 //!
 //! The dataflow graph (VIVU edges plus restored back edges) is condensed
 //! into its strongly connected components; the condensation is a DAG, and
-//! each SCC is solved to its local fixpoint once all its predecessor SCCs
-//! are done. Inside an SCC the solver runs a *priority worklist*: members
-//! are (re-)evaluated in topological-position order, and a node re-enters
-//! the worklist only when one of its inputs actually changed. Both choices
-//! are pure scheduling: the must fixpoint is the greatest fixpoint of a
-//! monotone system and the may fixpoint the least one, so each is unique
-//! and chaotic iteration reaches it in *any* order — the worklist order
-//! only affects how fast.
-//!
-//! The same uniqueness argument makes the solver parallel: independent
-//! ready SCCs (indegree zero in the remaining condensation DAG) are
-//! handed to a scoped worker pool (the `threads` knob threaded through
-//! the engine). Each SCC is still solved by exactly one worker with a
-//! deterministic worklist, and cross-SCC inputs are published
-//! write-once, so the computed states — and every classification
-//! derived from them — are bit-identical at any thread count.
+//! the solver walks it in topological order, solving each SCC to its local
+//! fixpoint once all its predecessor SCCs are done. Inside an SCC the
+//! solver runs a *priority worklist*: members are (re-)evaluated in
+//! topological-position order, and a node re-enters the worklist only
+//! when one of its inputs actually changed. Both choices are pure
+//! scheduling: the must fixpoint is the greatest fixpoint of a monotone
+//! system and the may fixpoint the least one, so each is unique and
+//! chaotic iteration reaches it in *any* order — the worklist order only
+//! affects how fast.
 //!
 //! # Incremental re-analysis
 //!
@@ -60,9 +53,8 @@
 //! whenever relocation shifts addresses near the entry.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rtpf_cache::{join_pairs_into, CacheConfig, Classification, StatePair};
@@ -87,10 +79,6 @@ pub struct ClassifyResult {
     /// Touched-block signature per VIVU node (drives the incremental
     /// dirty check and the evaluation memo of the next pass).
     pub sigs: Vec<NodeSig>,
-    /// Worklist evaluations performed (pops plus singleton solves;
-    /// deterministic across thread counts — the per-SCC worklist order
-    /// is fixed).
-    pub iterations: usize,
     /// Node evaluations actually executed (memo misses).
     pub evals: u64,
     /// Node evaluations answered by the shared memo.
@@ -102,11 +90,12 @@ pub struct ClassifyResult {
     /// Nodes whose states were recomputed (equals the node count for a
     /// from-scratch run).
     pub nodes_reanalyzed: usize,
-    /// Nanoseconds spent joining predecessor states (memo misses only),
-    /// summed across workers — CPU time, not wall clock, under `threads > 1`.
+    /// Nanoseconds spent joining predecessor states (memo misses only);
+    /// a share of the fixpoint's wall clock.
     pub join_ns: u64,
     /// Nanoseconds spent walking references (classify + fold per
-    /// reference), summed across workers like [`join_ns`](Self::join_ns).
+    /// reference), memo misses only; a share of the fixpoint's wall clock
+    /// like [`join_ns`](Self::join_ns).
     pub transfer_ns: u64,
 }
 
@@ -138,13 +127,6 @@ pub struct PrevPass<'a> {
 /// computed from it is *optimistic* for hardware prefetching — which is
 /// exactly the comparison the paper draws: hardware prefetching has no
 /// safe WCET story, software insertion does.
-///
-/// Ready SCCs of the condensation DAG are solved on `threads` scoped
-/// worker threads (`1` = in-place sequential). Results are bit-identical
-/// at any thread count; only the eval/memo-hit and interned/fresh
-/// *splits* may shift (their sums stay fixed), because a racing worker
-/// can win the memo slot another would have filled.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn classify_full_cached(
     p: &Program,
     layout: &Layout,
@@ -153,19 +135,8 @@ pub(crate) fn classify_full_cached(
     config: &CacheConfig,
     hw_next_line: Option<u32>,
     cache: &AnalysisCache,
-    threads: usize,
 ) -> Result<ClassifyResult, AnalysisError> {
-    run_classify(
-        p,
-        layout,
-        vivu,
-        acfg,
-        config,
-        hw_next_line,
-        None,
-        cache,
-        threads,
-    )
+    run_classify(p, layout, vivu, acfg, config, hw_next_line, None, cache)
 }
 
 /// Re-classifies after a CFG-preserving program edit, recomputing only the
@@ -183,7 +154,6 @@ pub fn classify_incremental(
     hw_next_line: Option<u32>,
     prev: PrevPass<'_>,
     cache: &AnalysisCache,
-    threads: usize,
 ) -> Result<ClassifyResult, AnalysisError> {
     run_classify(
         p,
@@ -194,7 +164,6 @@ pub fn classify_incremental(
         hw_next_line,
         Some(prev),
         cache,
-        threads,
     )
 }
 
@@ -395,11 +364,9 @@ fn classify_touch(
     }
 }
 
-/// Everything a worker needs to learn about a node once its component
-/// converged. Published exactly once per node through a `OnceLock`, which
-/// is both the cross-thread synchronization (a successor component reads
-/// its external inputs here) and the proof that no state is ever
-/// published twice.
+/// What the solver learns about a node once its component converged.
+/// Filled once per node, in condensation order, so every external input
+/// of a component is filled before the component is solved.
 struct NodeOutcome {
     /// Converged (interned) out-state.
     out: Arc<StatePair>,
@@ -413,13 +380,9 @@ struct NodeOutcome {
     recomputed: bool,
 }
 
-/// Order-independent work counters, owned per worker and summed at the
-/// end. The sums are deterministic at any thread count; only the
-/// evals/memo-hits and interned/fresh *splits* can shift when workers
-/// race for a memo slot.
+/// Work counters of one classify pass.
 #[derive(Clone, Copy, Default)]
 struct Counters {
-    iterations: usize,
     evals: u64,
     memo_hits: u64,
     states_interned: u64,
@@ -428,24 +391,12 @@ struct Counters {
     transfer_ns: u64,
 }
 
-impl Counters {
-    fn merge(&mut self, o: Counters) {
-        self.iterations += o.iterations;
-        self.evals += o.evals;
-        self.memo_hits += o.memo_hits;
-        self.states_interned += o.states_interned;
-        self.states_fresh += o.states_fresh;
-        self.join_ns += o.join_ns;
-        self.transfer_ns += o.transfer_ns;
-    }
-}
-
-/// Per-worker scratch. All vectors are node-indexed and reused across
-/// every component the worker solves, so a worker's steady-state
-/// allocation rate is zero: joins merge into `work`, signatures and
-/// inputs live in reusable buffers, and the worklist is a bitset plus a
-/// binary heap of component-local indices.
-pub(crate) struct WorkerState {
+/// Solver scratch. All vectors are node-indexed and reused across every
+/// component of a pass, so the steady-state allocation rate is zero:
+/// joins merge into `work`, signatures and inputs live in reusable
+/// buffers, and the worklist is a bitset plus a binary heap of
+/// component-local indices.
+pub(crate) struct SolverScratch {
     /// Input states of the node under evaluation.
     ins_buf: Vec<Arc<StatePair>>,
     /// k-way merge cursors.
@@ -465,12 +416,11 @@ pub(crate) struct WorkerState {
     /// topological position first, so straight-line chains inside a loop
     /// body are swept in order instead of rescanning the whole component.
     heap: BinaryHeap<Reverse<u32>>,
-    c: Counters,
 }
 
-impl WorkerState {
-    fn new(n: usize, empty: &StatePair) -> WorkerState {
-        WorkerState {
+impl SolverScratch {
+    fn new(n: usize, empty: &StatePair) -> SolverScratch {
+        SolverScratch {
             ins_buf: Vec::new(),
             cursors: Vec::new(),
             work: empty.clone(),
@@ -479,7 +429,6 @@ impl WorkerState {
             local_idx: vec![0; n],
             pend: vec![false; n],
             heap: BinaryHeap::new(),
-            c: Counters::default(),
         }
     }
 
@@ -488,41 +437,63 @@ impl WorkerState {
     /// successfully finished solve leaves every node-indexed vector in its
     /// initial state (worklist drained, local slots `take`n), so pooled
     /// reuse skips the per-pass allocation *and* zero-fill.
-    fn acquire(cache: &AnalysisCache, n: usize, empty: &StatePair) -> WorkerState {
+    fn acquire(cache: &AnalysisCache, n: usize, empty: &StatePair) -> SolverScratch {
         match cache.take_scratch() {
             Some(ws) if ws.local_idx.len() == n => ws,
-            _ => WorkerState::new(n, empty),
+            _ => SolverScratch::new(n, empty),
         }
     }
 
-    /// Returns the scratch to the pool and hands back its counters. Only
-    /// called on clean exits — a worker that errored mid-component drops
-    /// its scratch instead, since the worklist invariants no longer hold.
-    fn release(mut self, cache: &AnalysisCache) -> Counters {
-        let c = self.c;
-        self.c = Counters::default();
+    /// Returns the scratch to the pool. Only called on clean exits — a
+    /// pass that errored mid-component drops its scratch instead, since
+    /// the worklist invariants no longer hold.
+    fn release(mut self, cache: &AnalysisCache) {
         self.ins_buf.clear();
         cache.put_scratch(self);
-        c
     }
 }
 
-/// Read-only solver context shared by every worker.
-struct Shared<'a> {
+/// The fixpoint solver of one classify pass: walks the condensation in
+/// topological order and solves each component in place.
+struct Solver<'a> {
     top: &'a Topology,
     sigs: &'a [NodeSig],
     cache: &'a AnalysisCache,
     prev: Option<PrevPass<'a>>,
     dirty: Option<&'a [bool]>,
     hw_next_line: Option<u32>,
-    published: &'a [OnceLock<NodeOutcome>],
+    /// Per-node outcome, filled when the node's component converged.
+    outcomes: Vec<Option<NodeOutcome>>,
+    ws: SolverScratch,
+    c: Counters,
 }
 
-impl Shared<'_> {
-    fn publish(&self, i: usize, outcome: NodeOutcome) {
-        if self.published[i].set(outcome).is_err() {
-            unreachable!("node {i} published twice — a component was scheduled twice");
+impl Solver<'_> {
+    /// Solves every component in condensation order and returns each
+    /// node's outcome plus the pass's work counters.
+    fn solve(mut self) -> Result<(Vec<NodeOutcome>, Counters), AnalysisError> {
+        for cid in 0..self.top.n_comps() {
+            self.process_comp(cid)?;
         }
+        self.ws.release(self.cache);
+        let outcomes = self
+            .outcomes
+            .into_iter()
+            .map(|o| o.expect("every component was solved"))
+            .collect();
+        Ok((outcomes, self.c))
+    }
+
+    fn publish(&mut self, i: usize, outcome: NodeOutcome) {
+        debug_assert!(self.outcomes[i].is_none(), "node {i} solved twice");
+        self.outcomes[i] = Some(outcome);
+    }
+
+    /// Outcome of a node in an earlier component.
+    fn solved(&self, i: usize) -> &NodeOutcome {
+        self.outcomes[i]
+            .as_ref()
+            .expect("predecessor components are solved first")
     }
 
     fn changed_of(&self, i: usize, new: &Arc<StatePair>) -> bool {
@@ -544,9 +515,10 @@ impl Shared<'_> {
     /// seeding them as "empty cache" would poison every loop with its own
     /// not-yet-analysed back edge. The may analysis (union join) is
     /// indifferent: skipping an uncomputed predecessor equals joining
-    /// with its ∅ bottom. Cross-component predecessors are always
-    /// published before this component is scheduled.
-    fn eval_node(&self, cid: usize, i: usize, ws: &mut WorkerState) -> Arc<NodeEval> {
+    /// with its ∅ bottom. Cross-component predecessors are always solved
+    /// before this component, by condensation order.
+    fn eval_node(&mut self, cid: usize, i: usize) -> Arc<NodeEval> {
+        let ws = &mut self.ws;
         ws.ins_buf.clear();
         for &pr in self.top.preds(i) {
             let pr = pr as usize;
@@ -555,21 +527,21 @@ impl Shared<'_> {
                     ws.ins_buf.push(Arc::clone(a));
                 }
             } else {
-                let ext = self.published[pr]
-                    .get()
-                    .expect("external predecessor published before scheduling");
+                let ext = self.outcomes[pr]
+                    .as_ref()
+                    .expect("predecessor components are solved first");
                 ws.ins_buf.push(Arc::clone(&ext.out));
             }
         }
         if let Some(hit) = self.cache.lookup(&self.sigs[i], &ws.ins_buf) {
-            ws.c.memo_hits += 1;
+            self.c.memo_hits += 1;
             return hit;
         }
-        ws.c.evals += 1;
+        self.c.evals += 1;
         let t_join = Instant::now();
         join_pairs_into(&mut ws.work, &ws.ins_buf, &mut ws.cursors);
         let t_walk = Instant::now();
-        ws.c.join_ns += t_walk.duration_since(t_join).as_nanos() as u64;
+        self.c.join_ns += t_walk.duration_since(t_join).as_nanos() as u64;
         let sig = &self.sigs[i];
         let mut class = Vec::with_capacity(sig.len());
         for &(own, pf) in sig.iter() {
@@ -579,34 +551,31 @@ impl Shared<'_> {
                 ws.work.1.update(tb);
             }
         }
-        ws.c.transfer_ns += t_walk.elapsed().as_nanos() as u64;
+        self.c.transfer_ns += t_walk.elapsed().as_nanos() as u64;
         let (stored, fresh) = self.cache.store(sig, &ws.ins_buf, &ws.work, class);
         if fresh {
-            ws.c.states_fresh += 1;
+            self.c.states_fresh += 1;
         } else {
-            ws.c.states_interned += 1;
+            self.c.states_interned += 1;
         }
         stored
     }
 
-    /// Solves component `cid` to its local fixpoint and publishes every
-    /// member's outcome. Exactly one worker runs this per component, and
-    /// only after all predecessor components have been published.
-    fn process_comp(&self, cid: usize, ws: &mut WorkerState) -> Result<(), AnalysisError> {
-        let comp = self.top.comp(cid);
+    /// Solves component `cid` to its local fixpoint and fills every
+    /// member's outcome. Runs once per component, after all predecessor
+    /// components.
+    fn process_comp(&mut self, cid: usize) -> Result<(), AnalysisError> {
+        let top = self.top;
+        let comp = top.comp(cid);
         // Incremental cutoff: skip the whole component when no member's
         // signature and no external input changed (see module docs).
         let recompute = match (self.prev, self.dirty) {
             (Some(_), Some(dirty)) => comp.iter().any(|&i| {
                 let i = i as usize;
                 dirty[i]
-                    || self.top.preds(i).iter().any(|&pr| {
+                    || top.preds(i).iter().any(|&pr| {
                         let pr = pr as usize;
-                        self.top.comp_id(pr) != cid
-                            && self.published[pr]
-                                .get()
-                                .expect("external predecessor published before scheduling")
-                                .changed
+                        top.comp_id(pr) != cid && self.solved(pr).changed
                     })
             }),
             _ => true,
@@ -627,11 +596,10 @@ impl Shared<'_> {
             }
             return Ok(());
         }
-        if comp.len() == 1 && !self.top.preds(comp[0] as usize).contains(&comp[0]) {
+        if comp.len() == 1 && !top.preds(comp[0] as usize).contains(&comp[0]) {
             // Acyclic singleton: one evaluation is the exact solution.
             let i = comp[0] as usize;
-            ws.c.iterations += 1;
-            let ev = self.eval_node(cid, i, ws);
+            let ev = self.eval_node(cid, i);
             let changed = self.changed_of(i, &ev.out);
             self.publish(
                 i,
@@ -651,6 +619,7 @@ impl Shared<'_> {
         // chaotic iteration from the extremal start reaches the unique
         // extremal fixpoint in any order; topological-position priority
         // just minimizes wasted evaluations against half-updated inputs.
+        let ws = &mut self.ws;
         debug_assert!(ws.heap.is_empty());
         for (k, &i) in comp.iter().enumerate() {
             let i = i as usize;
@@ -665,26 +634,26 @@ impl Shared<'_> {
         // error instead of a panic.
         let limit = comp.len().saturating_mul(1_000_000);
         let mut pops = 0usize;
-        while let Some(Reverse(k)) = ws.heap.pop() {
+        while let Some(Reverse(k)) = self.ws.heap.pop() {
             let i = comp[k as usize] as usize;
-            if !ws.pend[i] {
+            if !self.ws.pend[i] {
                 continue;
             }
-            ws.pend[i] = false;
+            self.ws.pend[i] = false;
             pops += 1;
             if pops > limit {
-                ws.heap.clear();
                 return Err(AnalysisError::FixpointDiverged { iterations: pops });
             }
-            let ev = self.eval_node(cid, i, ws);
+            let ev = self.eval_node(cid, i);
+            let ws = &mut self.ws;
             let same = ws.local_out[i]
                 .as_ref()
                 .is_some_and(|old| Arc::ptr_eq(old, &ev.out) || **old == *ev.out);
             if !same {
                 ws.local_out[i] = Some(Arc::clone(&ev.out));
-                for &s in self.top.succs(i) {
+                for &s in top.succs(i) {
                     let s = s as usize;
-                    if self.top.comp_id(s) == cid && !ws.pend[s] {
+                    if top.comp_id(s) == cid && !ws.pend[s] {
                         ws.pend[s] = true;
                         ws.heap.push(Reverse(ws.local_idx[s]));
                     }
@@ -692,13 +661,12 @@ impl Shared<'_> {
             }
             ws.local_eval[i] = Some(ev);
         }
-        ws.c.iterations += pops;
         for &i in comp {
             let i = i as usize;
-            let out = ws.local_out[i]
+            let out = self.ws.local_out[i]
                 .take()
                 .expect("fixpoint computed every member");
-            let eval = ws.local_eval[i]
+            let eval = self.ws.local_eval[i]
                 .take()
                 .expect("fixpoint evaluated every member");
             let changed = self.changed_of(i, &out);
@@ -716,94 +684,6 @@ impl Shared<'_> {
     }
 }
 
-/// Runs ready components on `threads` scoped workers. The condensation
-/// DAG is walked with per-component indegree counters: a component enters
-/// the ready queue when its last predecessor completes, so a worker never
-/// reads an unpublished external input.
-fn solve_parallel(
-    shared: &Shared<'_>,
-    n: usize,
-    empty: &StatePair,
-    threads: usize,
-) -> Result<Counters, AnalysisError> {
-    let top = shared.top;
-    let n_comps = top.n_comps();
-    let indeg: Vec<AtomicU32> = (0..n_comps)
-        .map(|c| AtomicU32::new(top.comp_indegree(c)))
-        .collect();
-    let ready: Mutex<VecDeque<u32>> = Mutex::new(
-        (0..n_comps as u32)
-            .filter(|&c| top.comp_indegree(c as usize) == 0)
-            .collect(),
-    );
-    let cvar = Condvar::new();
-    let open = AtomicUsize::new(n_comps);
-    let done = AtomicBool::new(n_comps == 0);
-    let failure: Mutex<Option<AnalysisError>> = Mutex::new(None);
-
-    let mut totals = Counters::default();
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut ws = WorkerState::acquire(shared.cache, n, empty);
-                    loop {
-                        let cid = {
-                            let mut q = ready.lock().expect("scheduler queue poisoned");
-                            loop {
-                                if done.load(Ordering::Acquire) {
-                                    return ws.release(shared.cache);
-                                }
-                                if let Some(c) = q.pop_front() {
-                                    break c;
-                                }
-                                q = cvar.wait(q).expect("scheduler queue poisoned");
-                            }
-                        } as usize;
-                        match shared.process_comp(cid, &mut ws) {
-                            Ok(()) => {
-                                for &sc in top.comp_succs(cid) {
-                                    if indeg[sc as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                        let mut q = ready.lock().expect("scheduler queue poisoned");
-                                        q.push_back(sc);
-                                        cvar.notify_one();
-                                    }
-                                }
-                                if open.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    // Flip `done` under the queue lock so a
-                                    // worker between its `done` check and
-                                    // `wait` cannot miss the wakeup.
-                                    let _q = ready.lock().expect("scheduler queue poisoned");
-                                    done.store(true, Ordering::Release);
-                                    cvar.notify_all();
-                                }
-                            }
-                            Err(e) => {
-                                let mut f = failure.lock().expect("failure slot poisoned");
-                                if f.is_none() {
-                                    *f = Some(e);
-                                }
-                                drop(f);
-                                let _q = ready.lock().expect("scheduler queue poisoned");
-                                done.store(true, Ordering::Release);
-                                cvar.notify_all();
-                                return ws.c;
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            totals.merge(w.join().expect("classify worker panicked"));
-        }
-    });
-    match failure.into_inner().expect("failure slot poisoned") {
-        Some(e) => Err(e),
-        None => Ok(totals),
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn run_classify(
     p: &Program,
@@ -814,7 +694,6 @@ fn run_classify(
     hw_next_line: Option<u32>,
     prev: Option<PrevPass<'_>>,
     cache: &AnalysisCache,
-    threads: usize,
 ) -> Result<ClassifyResult, AnalysisError> {
     let n = vivu.len();
     // No-information sentinel for predecessor-less nodes. Cloning it is
@@ -829,35 +708,18 @@ fn run_classify(
     let block_shift = config.block_bytes().trailing_zeros();
     let (sigs, dirty) = node_sigs(p, layout, vivu, block_shift, prev.map(|pv| pv.sigs), cache);
 
-    let published: Vec<OnceLock<NodeOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
-    let shared = Shared {
+    let (outcomes, totals) = Solver {
         top: &top,
         sigs: &sigs,
         cache,
         prev,
         dirty: dirty.as_deref(),
         hw_next_line,
-        published: &published,
-    };
-
-    // One worker per ready component up to `threads`; a single worker
-    // walks the condensation order in place, with no pool, no atomics
-    // traffic, and the same deterministic per-component worklist.
-    let threads = threads.max(1).min(top.n_comps().max(1));
-    let totals = if threads == 1 {
-        let mut ws = WorkerState::acquire(cache, n, &empty);
-        for cid in 0..top.n_comps() {
-            shared.process_comp(cid, &mut ws)?;
-        }
-        ws.release(cache)
-    } else {
-        solve_parallel(&shared, n, &empty, threads)?
-    };
-
-    let outcomes: Vec<NodeOutcome> = published
-        .into_iter()
-        .map(|o| o.into_inner().expect("scheduler published every node"))
-        .collect();
+        outcomes: (0..n).map(|_| None).collect(),
+        ws: SolverScratch::acquire(cache, n, &empty),
+        c: Counters::default(),
+    }
+    .solve()?;
 
     // Final recording pass: recomputed nodes publish the classifications
     // of their converged evaluation; skipped nodes copy the previous
@@ -903,7 +765,6 @@ fn run_classify(
         pf_block,
         out_states,
         sigs,
-        iterations: totals.iterations,
         evals: totals.evals,
         memo_hits: totals.memo_hits,
         states_interned: totals.states_interned,
@@ -927,10 +788,9 @@ mod tests {
         a: &Acfg,
         config: &CacheConfig,
         hw_next_line: Option<u32>,
-        threads: usize,
     ) -> ClassifyResult {
         let cache = AnalysisCache::new();
-        classify_full_cached(p, layout, v, a, config, hw_next_line, &cache, threads).unwrap()
+        classify_full_cached(p, layout, v, a, config, hw_next_line, &cache).unwrap()
     }
 
     fn run(shape: Shape, config: CacheConfig) -> (Program, Acfg, ClassifyResult) {
@@ -938,7 +798,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify_with(&p, &layout, &v, &a, &config, None, 1);
+        let c = classify_with(&p, &layout, &v, &a, &config, None);
         (p, a, c)
     }
 
@@ -965,7 +825,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None);
         for r in a.refs() {
             let node = v.node(r.node);
             let is_rest = node
@@ -993,7 +853,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None);
         let rest_misses = a
             .refs()
             .iter()
@@ -1024,7 +884,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let c = classify_with(&p, &layout, &v, &a, &cfg, None);
         // Find the reference fetching `target`.
         let r = a.refs().iter().find(|r| r.instr == target).unwrap();
         assert_eq!(c.class[r.id.index()], Classification::AlwaysHit);
@@ -1041,8 +901,8 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let plain = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
-        let hw = classify_with(&p, &layout, &v, &a, &cfg, Some(1), 1);
+        let plain = classify_with(&p, &layout, &v, &a, &cfg, None);
+        let hw = classify_with(&p, &layout, &v, &a, &cfg, Some(1));
         let misses = |c: &ClassifyResult| c.class.iter().filter(|x| x.counts_as_miss()).count();
         assert_eq!(misses(&plain), 8, "32 instrs = 8 cold blocks");
         assert_eq!(misses(&hw), 1, "only the very first block misses");
@@ -1071,37 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solve_matches_sequential() {
-        // Non-trivial nesting so the condensation has real width and real
-        // cyclic components; 3 workers must reproduce the 1-worker result
-        // bit for bit.
-        let cfg = CacheConfig::new(2, 16, 128).unwrap();
-        let p = Shape::seq([
-            Shape::code(6),
-            Shape::loop_(
-                8,
-                Shape::seq([Shape::code(4), Shape::loop_(3, Shape::code(6))]),
-            ),
-            Shape::if_else(1, Shape::code(10), Shape::loop_(5, Shape::code(7))),
-            Shape::code(5),
-        ])
-        .compile("par");
-        let layout = Layout::of(&p);
-        let v = VivuGraph::build(&p).unwrap();
-        let a = Acfg::build(&p, &v);
-        let seq = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
-        let par = classify_with(&p, &layout, &v, &a, &cfg, None, 3);
-        assert_eq!(par.class, seq.class);
-        assert_eq!(par.mem_block, seq.mem_block);
-        assert_eq!(par.pf_block, seq.pf_block);
-        assert_eq!(par.iterations, seq.iterations);
-        assert_eq!(par.evals + par.memo_hits, seq.evals + seq.memo_hits);
-        for (a, b) in par.out_states.iter().zip(&seq.out_states) {
-            assert_eq!(**a, **b);
-        }
-    }
-
-    #[test]
     fn incremental_after_insert_matches_from_scratch() {
         // Insert a prefetch mid-program and check the incremental pass
         // reproduces the from-scratch classification exactly while
@@ -1116,7 +945,7 @@ mod tests {
         let layout1 = Layout::of(&p1);
         let v = VivuGraph::build(&p1).unwrap();
         let a1 = Acfg::build(&p1, &v);
-        let c1 = classify_with(&p1, &layout1, &v, &a1, &cfg, None, 1);
+        let c1 = classify_with(&p1, &layout1, &v, &a1, &cfg, None);
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -1127,7 +956,7 @@ mod tests {
         let layout2 = Layout::anchored(&p2, anchor, layout1.addr(anchor));
 
         let a2 = Acfg::build(&p2, &v);
-        let full = classify_with(&p2, &layout2, &v, &a2, &cfg, None, 1);
+        let full = classify_with(&p2, &layout2, &v, &a2, &cfg, None);
         let inc = classify_incremental(
             &p2,
             &layout2,
@@ -1144,7 +973,6 @@ mod tests {
                 sigs: &c1.sigs,
             },
             &AnalysisCache::new(),
-            1,
         )
         .unwrap();
         assert_eq!(inc.class, full.class);
@@ -1234,7 +1062,7 @@ mod tests {
         let layout = Layout::of(&p);
         let v = VivuGraph::build(&p).unwrap();
         let a = Acfg::build(&p, &v);
-        let c1 = classify_with(&p, &layout, &v, &a, &cfg, None, 1);
+        let c1 = classify_with(&p, &layout, &v, &a, &cfg, None);
         let inc = classify_incremental(
             &p,
             &layout,
@@ -1251,7 +1079,6 @@ mod tests {
                 sigs: &c1.sigs,
             },
             &AnalysisCache::new(),
-            1,
         )
         .unwrap();
         assert_eq!(inc.nodes_reanalyzed, 0);

@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use rtpf_cache::{Classification, SharedInterner, StatePair};
 use rtpf_isa::MemBlockId;
 
-use crate::classify::WorkerState;
+use crate::classify::SolverScratch;
 use crate::error::AnalysisError;
 use crate::ipet::IpetGraph;
 
@@ -161,12 +161,6 @@ pub(crate) struct Topology {
     comp_off: Vec<u32>,
     comp_dat: Vec<u32>,
     comp_id: Vec<u32>,
-    /// Condensation DAG, CSR over component ids: distinct successor
-    /// components per component, and each component's indegree (distinct
-    /// predecessor components). Drives the parallel SCC-DAG scheduler.
-    comp_succ_off: Vec<u32>,
-    comp_succ_dat: Vec<u32>,
-    comp_indeg: Vec<u32>,
 }
 
 impl Topology {
@@ -197,33 +191,6 @@ impl Topology {
                 comp_id[i] = cid as u32;
             }
         }
-        // Condensation edges: every cross-component node edge, deduplicated.
-        let mut edges: Vec<(u32, u32)> = Vec::new();
-        for (i, ps) in preds.iter().enumerate() {
-            let ci = comp_id[i];
-            for &pr in ps {
-                let cp = comp_id[pr];
-                if cp != ci {
-                    edges.push((cp, ci));
-                }
-            }
-        }
-        edges.sort_unstable();
-        edges.dedup();
-        let n_comps = comps.len();
-        let mut comp_succ_off = Vec::with_capacity(n_comps + 1);
-        let mut comp_succ_dat = Vec::with_capacity(edges.len());
-        let mut comp_indeg = vec![0u32; n_comps];
-        comp_succ_off.push(0);
-        let mut e = 0usize;
-        for c in 0..n_comps as u32 {
-            while e < edges.len() && edges[e].0 == c {
-                comp_succ_dat.push(edges[e].1);
-                comp_indeg[edges[e].1 as usize] += 1;
-                e += 1;
-            }
-            comp_succ_off.push(comp_succ_dat.len() as u32);
-        }
         Topology {
             pred_off,
             pred_dat,
@@ -232,9 +199,6 @@ impl Topology {
             comp_off,
             comp_dat,
             comp_id,
-            comp_succ_off,
-            comp_succ_dat,
-            comp_indeg,
         }
     }
 
@@ -267,19 +231,6 @@ impl Topology {
     pub(crate) fn comp_id(&self, i: usize) -> usize {
         self.comp_id[i] as usize
     }
-
-    /// Distinct successor components of component `c` in the condensation
-    /// DAG.
-    #[inline]
-    pub(crate) fn comp_succs(&self, c: usize) -> &[u32] {
-        &self.comp_succ_dat[self.comp_succ_off[c] as usize..self.comp_succ_off[c + 1] as usize]
-    }
-
-    /// Number of distinct predecessor components of component `c`.
-    #[inline]
-    pub(crate) fn comp_indegree(&self, c: usize) -> u32 {
-        self.comp_indeg[c]
-    }
 }
 
 /// Number of independently locked memo shards. A power of two so the
@@ -289,14 +240,15 @@ const MEMO_SHARDS: usize = 16;
 /// Interner + evaluation memo shared by every analysis of one lineage
 /// (same cache configuration, timing, and hardware-prefetch setting).
 ///
-/// Concurrency-safe by sharding: the parallel classify solver looks up and
-/// stores evaluations from every worker thread, so the memo is split into
-/// `MEMO_SHARDS` independently locked maps keyed by the high bits of the
-/// evaluation hash, and out-states intern through a
-/// [`SharedInterner`]. Signatures keep one mutex — they are interned in
-/// the solver's sequential setup phase. The structures that depend only
-/// on the lineage's VIVU graph — the fixpoint topology and the frozen
-/// IPET graph — are `OnceLock`s (write-once, lock-free reads).
+/// Concurrency-safe by sharding: speculative verification runs several
+/// analyses of one lineage at once, each looking up and storing
+/// evaluations, so the memo is split into `MEMO_SHARDS` independently
+/// locked maps keyed by the high bits of the evaluation hash, and
+/// out-states intern through a [`SharedInterner`]. Signatures keep one
+/// mutex — they are interned in each pass's setup phase. The structures
+/// that depend only on the lineage's VIVU graph — the fixpoint topology
+/// and the frozen IPET graph — are `OnceLock`s (write-once, lock-free
+/// reads).
 pub struct AnalysisCache {
     interner: SharedInterner,
     sigs: Mutex<PreMap<NodeSig>>,
@@ -304,10 +256,10 @@ pub struct AnalysisCache {
     topo: OnceLock<Arc<Topology>>,
     ipet: OnceLock<IpetGraph>,
     /// Pool of solver scratch states. A lineage runs thousands of classify
-    /// passes over the same graph; recycling the node-indexed worker
+    /// passes over the same graph; recycling the node-indexed solver
     /// vectors (and the grown word/merge buffers inside) removes five
     /// allocations plus their zero-fill from every pass.
-    scratch: Mutex<Vec<WorkerState>>,
+    scratch: Mutex<Vec<SolverScratch>>,
 }
 
 impl AnalysisCache {
@@ -420,13 +372,13 @@ impl AnalysisCache {
     }
 
     /// Pops a pooled solver scratch, if any (see
-    /// [`WorkerState::acquire`]).
-    pub(crate) fn take_scratch(&self) -> Option<WorkerState> {
+    /// [`SolverScratch::acquire`]).
+    pub(crate) fn take_scratch(&self) -> Option<SolverScratch> {
         self.scratch.lock().expect("analysis cache poisoned").pop()
     }
 
     /// Returns a clean solver scratch to the pool for the next pass.
-    pub(crate) fn put_scratch(&self, ws: WorkerState) {
+    pub(crate) fn put_scratch(&self, ws: SolverScratch) {
         self.scratch
             .lock()
             .expect("analysis cache poisoned")

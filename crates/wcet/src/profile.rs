@@ -20,12 +20,13 @@ pub struct AnalysisProfile {
     pub vivu_ns: u64,
     /// Must/may dataflow fixpoint (including classification recording).
     pub fixpoint_ns: u64,
-    /// Predecessor-state joins inside the fixpoint, memo misses only.
-    /// Summed across solver workers, so this is CPU time — under
-    /// `threads > 1` it can exceed the `fixpoint_ns` wall clock.
+    /// Predecessor-state joins inside the fixpoint, memo misses only; a
+    /// part of `fixpoint_ns`, which the sequential solver runs on one
+    /// thread.
     pub join_ns: u64,
     /// Per-reference classify + fold walks inside the fixpoint, memo
-    /// misses only; CPU time like [`join_ns`](Self::join_ns).
+    /// misses only; a part of `fixpoint_ns` like
+    /// [`join_ns`](Self::join_ns).
     pub transfer_ns: u64,
     /// Exact per-set refinement of unclassified references (DESIGN.md
     /// §12); 0 under LRU or with refinement disabled.

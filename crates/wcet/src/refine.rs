@@ -23,9 +23,10 @@
 //!
 //! The per-set explorations are completely independent — each reads only
 //! the shared graph and touches only references mapping to its own set —
-//! so they fan out across the solver's worker threads (the `threads` knob)
-//! and their outcomes are applied sequentially in sorted set order, which
-//! keeps the pass deterministic at any thread count.
+//! so they fan out across scoped worker threads (the `threads` knob, the
+//! only concurrency inside one analysis) and their outcomes are applied
+//! sequentially in sorted set order, which keeps the pass deterministic
+//! at any thread count.
 //!
 //! The pass runs deterministically after every classification (full and
 //! incremental alike), so an incremental re-analysis still produces
