@@ -197,7 +197,6 @@ pub fn audit_hierarchy_soundness_forced(
         hierarchy,
         timing,
         rtpf_cache::RefineConfig::on(),
-        1,
     )?;
     let obs = observe(p, &a, hierarchy, opts);
     Ok(compare(p, &a, &obs, sink, |_, c, m| (c, m), reclass_l2))

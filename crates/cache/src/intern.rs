@@ -173,9 +173,8 @@ const SHARDS: usize = 16;
 
 /// A concurrency-safe [`StateInterner`], sharded by content hash.
 ///
-/// Speculative verification runs several analyses of one lineage at once,
-/// each interning out-states into the lineage's shared interner; one
-/// global lock would serialize their hot paths. Each shard owns a
+/// A lineage's analyses run on one thread, but the interner lives in a
+/// cache shared through `Arc`s, so it must be `Sync`. Each shard owns a
 /// disjoint slice of the hash space behind its own mutex, and a shard's
 /// lock is held across the whole check-then-insert, so content-equal
 /// pairs always resolve to one canonical `Arc` — the invariant the

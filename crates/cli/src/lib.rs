@@ -128,12 +128,6 @@ pub struct Options {
     /// scheduler partitioned into `N` worker groups (see
     /// [`rtpf_engine::Grid`]); absent = the classic serial sweep.
     pub shards: Option<usize>,
-    /// `--threads N`: analysis worker threads per engine (the FIFO/PLRU
-    /// per-set refinement fan-out; `0` = one per core).
-    /// Outputs are byte-identical at any count. Absent = auto, except
-    /// under `--shards`, where it defaults to 1 so the grid workers do
-    /// not oversubscribe the cores.
-    pub threads: Option<usize>,
     /// `--json` (audit): emit diagnostics as JSON lines.
     pub json: bool,
     /// `--optimize` (audit): additionally optimize each program and audit
@@ -170,7 +164,6 @@ impl Options {
             verbose: false,
             profile: false,
             shards: None,
-            threads: None,
             json: false,
             optimize: false,
             deny: Vec::new(),
@@ -248,9 +241,6 @@ impl Options {
                     }
                     o.shards = Some(n);
                 }
-                "--threads" => {
-                    o.threads = Some(parse_num(it.next(), "--threads")?);
-                }
                 "--json" => o.json = true,
                 "--optimize" => o.optimize = true,
                 "--deny" => {
@@ -326,10 +316,7 @@ impl Options {
         if let Some(r) = self.rounds {
             cfg = cfg.with_rounds(r);
         }
-        self.apply_l2(
-            cfg.with_threads(self.resolved_threads())
-                .with_refine(self.refine_config()),
-        )
+        self.apply_l2(cfg.with_refine(self.refine_config()))
     }
 
     /// The batch profile `sweep` and `audit --optimize` share: a small
@@ -342,18 +329,7 @@ impl Options {
         if let Some(r) = self.rounds {
             cfg = cfg.with_rounds(r);
         }
-        self.apply_l2(
-            cfg.with_threads(self.resolved_threads())
-                .with_refine(self.refine_config()),
-        )
-    }
-
-    /// `--threads` with the `--shards` interaction resolved: explicit
-    /// values win; otherwise sharded grids pin each engine to one thread
-    /// (the grid's worker groups already saturate the cores) and
-    /// everything else goes auto (`0` = one per core).
-    fn resolved_threads(&self) -> usize {
-        self.threads.unwrap_or(usize::from(self.shards.is_some()))
+        self.apply_l2(cfg.with_refine(self.refine_config()))
     }
 
     /// Folds `--refine` / `--refine-budget` over the default-on stage
@@ -393,16 +369,16 @@ pub const USAGE: &str = "usage: rtpf <command> [args]
 commands:
   analyze  <file|suite:NAME> --cache a,b,c [--l2 a:b:c[:policy]]
            [--policy lru|fifo|plru] [--penalty N]
-           [--refine on|off] [--refine-budget N] [--threads N]
+           [--refine on|off] [--refine-budget N]
   optimize <file|suite:NAME> --cache a,b,c [--l2 a:b:c[:policy]]
            [--policy lru|fifo|plru] [--penalty N]
-           [--rounds N] [--refine on|off] [--refine-budget N] [--threads N] [-v]
+           [--rounds N] [--refine on|off] [--refine-budget N] [-v]
   simulate <file|suite:NAME> --cache a,b,c [--l2 a:b:c[:policy]]
            [--policy lru|fifo|plru] [--runs N]
            [--seed N] [--behavior worst|random]
   sweep    <file|suite:NAME> [--l2 a:b:c[:policy]] [--policy lru|fifo|plru]
            [--refine on|off]
-           [--refine-budget N] [--profile] [--shards N] [--threads N]
+           [--refine-budget N] [--profile] [--shards N]
                                             # all 36 paper configurations
   audit    <file|suite:NAME|suite:all> [--cache a,b,c] [--l2 a:b:c[:policy]]
            [--policy lru|fifo|plru]
@@ -421,10 +397,7 @@ the whole pipeline then runs the two-level Hardy/Puaut analysis
 (DESIGN.md §14). `--refine` toggles
 the exact per-set FIFO/PLRU refinement of unclassified references
 (DESIGN.md §12; on by default, a no-op under lru) and `--refine-budget`
-caps its per-node state count (default 64). `--threads` sets the worker
-threads per engine for that refinement's per-set fan-out (0 = one per
-core; the classify fixpoint is sequential; results are byte-identical at
-any count, DESIGN.md §13). `audit` runs the IR lints and
+caps its per-node state count (default 64). `audit` runs the IR lints and
 the abstract-vs-concrete soundness audit (plus the transform audit with
 --optimize) over every Table 2 configuration unless --cache narrows it;
 deny-level findings make the command fail. `analyze`, `optimize` and

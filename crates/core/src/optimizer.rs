@@ -29,11 +29,6 @@ pub struct OptimizeParams {
     /// of from scratch. Disable to measure the speedup or to force the
     /// legacy path.
     pub incremental: bool,
-    /// Worker threads for speculative single-candidate verification after
-    /// a batch rejection: `0` = one per available core, `1` = sequential.
-    /// Any setting yields bit-identical results; see
-    /// [`Optimizer::run`].
-    pub verify_workers: usize,
     /// Exact per-set FIFO/PLRU refinement applied behind every
     /// classification the optimizer consumes (`mcost`, profitability, and
     /// the verification analyses alike). A no-op under LRU.
@@ -49,7 +44,6 @@ impl Default for OptimizeParams {
             max_singles_per_round: 48,
             check_effectiveness: true,
             incremental: true,
-            verify_workers: 0,
             refine: RefineConfig::on(),
         }
     }
@@ -82,8 +76,8 @@ pub struct OptimizeReport {
 impl OptimizeReport {
     /// Equality of everything the optimizer *decided* — all fields except
     /// the timing-dependent [`profile`](OptimizeReport::profile). Two runs
-    /// with different `verify_workers` / `incremental` settings must agree
-    /// under this comparison.
+    /// with different `incremental` settings must agree under this
+    /// comparison.
     pub fn decisions_eq(&self, other: &OptimizeReport) -> bool {
         self.rounds == other.rounds
             && self.inserted == other.inserted
@@ -145,20 +139,12 @@ impl Optimizer {
     /// `report.wcet_after ≤ report.wcet_before` **by construction**: every
     /// accepted insertion batch was re-verified by a full WCET analysis.
     ///
-    /// Two hot-loop optimizations keep the verification cost down, and
-    /// neither changes any decision:
-    ///
-    /// * with [`OptimizeParams::incremental`], candidate verification
-    ///   re-analyses through
-    ///   [`WcetAnalysis::reanalyze_after_insert`], which provably equals
-    ///   the from-scratch analysis (debug builds cross-check);
-    /// * with [`OptimizeParams::verify_workers`] ≠ 1, the post-batch
-    ///   single-candidate loop verifies the next wave of plan entries
-    ///   speculatively in parallel, then consumes the results **in plan
-    ///   order**, discarding everything after the first acceptance (those
-    ///   entries are re-verified against the updated program). The
-    ///   accept/reject sequence, all caps, and error propagation are
-    ///   exactly those of the sequential loop.
+    /// With [`OptimizeParams::incremental`], candidate verification
+    /// re-analyses through [`WcetAnalysis::reanalyze_after_insert`], which
+    /// provably equals the from-scratch analysis (debug builds
+    /// cross-check), so it changes no decision. The run is sequential:
+    /// each single insertion is verified against the program as it stands
+    /// after every earlier acceptance.
     ///
     /// # Errors
     ///
@@ -174,7 +160,6 @@ impl Optimizer {
             &self.hierarchy,
             &timing,
             self.params.refine,
-            1,
         )?;
         let mut cur = before.clone();
         let mut report = OptimizeReport {
@@ -221,8 +206,7 @@ impl Optimizer {
             report.rejected_by_verifier += u64::from(applied);
 
             // Batch failed: verify insertions one at a time (the paper's
-            // per-prefetch criterion, enforced exactly), speculating waves
-            // of candidates across worker threads.
+            // per-prefetch criterion, enforced exactly).
             let any = self.verify_singles(&plan, &mut prog, &mut layout, &mut cur, &mut report)?;
             if !any {
                 break;
@@ -258,21 +242,13 @@ impl Optimizer {
                 &self.hierarchy,
                 &self.params.timing,
                 self.params.refine,
-                1,
             )
         }
     }
 
-    /// The one-at-a-time verification loop, parallelised by speculation.
-    ///
-    /// Waves of up to `verify_workers` plan entries are applied and
-    /// analysed concurrently against the *current* program; the results
-    /// are then consumed strictly in plan order. The first acceptance
-    /// invalidates the remaining speculative results (they were analysed
-    /// against a now-stale program), so they are discarded unconsumed —
-    /// their entries re-enter the next wave. Consumed results update the
-    /// counters exactly as the sequential loop would, so any worker count
-    /// produces the same program, decisions, and error behaviour.
+    /// The one-at-a-time verification loop: each plan entry is applied
+    /// to the live program, verified, and reverted on rejection (or on an
+    /// analysis error, which is then propagated).
     fn verify_singles(
         &self,
         plan: &[PlanEntry],
@@ -281,129 +257,40 @@ impl Optimizer {
         cur: &mut WcetAnalysis,
         report: &mut OptimizeReport,
     ) -> Result<bool, AnalysisError> {
-        let workers = match self.params.verify_workers {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        };
         let mut any = false;
-        let mut tried = 0u32;
-        let mut idx = 0usize;
-        'waves: while idx < plan.len()
-            && report.inserted < self.params.max_prefetches
-            && tried < self.params.max_singles_per_round
-        {
-            let k = workers
-                .min(plan.len() - idx)
-                .min((self.params.max_singles_per_round - tried) as usize)
-                .max(1);
-            let wave = &plan[idx..idx + k];
-            if k == 1 {
-                // Single-candidate fast path: apply on the live program and
-                // revert on rejection instead of cloning it. Decisions,
-                // counters, and error behaviour are identical to the
-                // speculative path (and to the original sequential loop).
-                let e = wave[0];
-                tried += 1;
-                let mut reloc_ns = 0u64;
-                let saved_layout = layout.clone();
-                let applied = self.apply(prog, layout, e, &mut reloc_ns);
-                report.profile.relocation_ns += reloc_ns;
-                if !applied {
-                    idx += 1;
-                    continue;
-                }
-                let revert = |prog: &mut Program, layout: &mut Layout| {
-                    let newest = InstrId(prog.instr_count() as u32 - 1);
-                    prog.remove_newest_instr(newest)
-                        .expect("reverting the insertion just applied");
-                    *layout = saved_layout;
-                };
-                match self.verify_analysis(cur, prog, layout.clone()) {
-                    Ok(a3) => {
-                        report.profile.add(a3.profile());
-                        if accepts(cur, &a3) {
-                            *cur = a3;
-                            report.inserted += 1;
-                            any = true;
-                        } else {
-                            report.rejected_by_verifier += 1;
-                            revert(prog, layout);
-                        }
-                    }
-                    Err(err) => {
-                        revert(prog, layout);
-                        return Err(err);
-                    }
-                }
-                idx += 1;
+        for &e in plan.iter().take(self.params.max_singles_per_round as usize) {
+            if report.inserted >= self.params.max_prefetches {
+                break;
+            }
+            let saved_layout = layout.clone();
+            if !self.apply(prog, layout, e, &mut report.profile.relocation_ns) {
                 continue;
             }
-            let specs: Vec<(Spec, u64)> = {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|e| {
-                            let (prog, layout, cur) = (&*prog, &*layout, &*cur);
-                            s.spawn(move || self.speculate(prog, layout, cur, *e))
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("verification worker panicked"))
-                        .collect()
-                })
+            let revert = |prog: &mut Program, layout: &mut Layout| {
+                let newest = InstrId(prog.instr_count() as u32 - 1);
+                prog.remove_newest_instr(newest)
+                    .expect("reverting the insertion just applied");
+                *layout = saved_layout;
             };
-            for (j, (spec, reloc_ns)) in specs.into_iter().enumerate() {
-                if report.inserted >= self.params.max_prefetches
-                    || tried >= self.params.max_singles_per_round
-                {
-                    break 'waves;
-                }
-                tried += 1;
-                report.profile.relocation_ns += reloc_ns;
-                match spec {
-                    Spec::Skipped => {}
-                    Spec::Failed(err) => return Err(err),
-                    Spec::Analyzed(boxed) => {
-                        let (p3, l3, a3) = *boxed;
-                        report.profile.add(a3.profile());
-                        if accepts(cur, &a3) {
-                            *prog = p3;
-                            *layout = l3;
-                            *cur = a3;
-                            report.inserted += 1;
-                            any = true;
-                            idx += j + 1;
-                            continue 'waves;
-                        }
+            match self.verify_analysis(cur, prog, layout.clone()) {
+                Ok(a3) => {
+                    report.profile.add(a3.profile());
+                    if accepts(cur, &a3) {
+                        *cur = a3;
+                        report.inserted += 1;
+                        any = true;
+                    } else {
                         report.rejected_by_verifier += 1;
+                        revert(prog, layout);
                     }
                 }
+                Err(err) => {
+                    revert(prog, layout);
+                    return Err(err);
+                }
             }
-            idx += k;
         }
         Ok(any)
-    }
-
-    /// Applies and analyses one plan entry against a snapshot of the
-    /// current program, without committing anything.
-    fn speculate(
-        &self,
-        prog: &Program,
-        layout: &Layout,
-        cur: &WcetAnalysis,
-        e: PlanEntry,
-    ) -> (Spec, u64) {
-        let mut reloc_ns = 0u64;
-        let mut p3 = prog.clone();
-        let mut l3 = layout.clone();
-        if !self.apply(&mut p3, &mut l3, e, &mut reloc_ns) {
-            return (Spec::Skipped, reloc_ns);
-        }
-        match self.verify_analysis(cur, &p3, l3.clone()) {
-            Ok(a3) => (Spec::Analyzed(Box::new((p3, l3, a3))), reloc_ns),
-            Err(err) => (Spec::Failed(err), reloc_ns),
-        }
     }
 
     /// Evaluates the joint improvement criterion over the current
@@ -510,17 +397,6 @@ impl Optimizer {
         *reloc_ns += t0.elapsed().as_nanos() as u64;
         true
     }
-}
-
-/// Outcome of one speculative single-candidate verification.
-enum Spec {
-    /// The insertion was redundant (`apply` returned false).
-    Skipped,
-    /// Applied and analysed; acceptance is decided by the consumer.
-    /// Boxed: a candidate program + analysis dwarfs the other variants.
-    Analyzed(Box<(Program, Layout, WcetAnalysis)>),
-    /// The analysis errored; propagated only if consumed in plan order.
-    Failed(AnalysisError),
 }
 
 /// Acceptance: `τ_w` must not grow and the WCET-path misses must shrink
@@ -630,11 +506,10 @@ mod tests {
         assert_eq!(r.report.wcet_after, r.analysis_after.tau_w());
     }
 
-    fn run_with(shape: &Shape, incremental: bool, verify_workers: usize) -> OptimizeResult {
+    fn run_with(shape: &Shape, incremental: bool) -> OptimizeResult {
         let p = shape.clone().compile("det");
         let params = OptimizeParams {
             incremental,
-            verify_workers,
             ..OptimizeParams::default()
         };
         Optimizer::new(CacheConfig::new(2, 16, 128).unwrap(), params)
@@ -643,33 +518,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_verification_is_byte_identical_to_sequential() {
-        for shape in [
-            compress_mini(),
-            Shape::loop_(10, Shape::if_else(2, Shape::code(30), Shape::code(10))),
-        ] {
-            let seq = run_with(&shape, true, 1);
-            for workers in [0, 2, 4, 7] {
-                let par = run_with(&shape, true, workers);
-                assert_eq!(
-                    par.program, seq.program,
-                    "workers={workers} produced a different program"
-                );
-                assert!(
-                    par.report.decisions_eq(&seq.report),
-                    "workers={workers}: {:?} vs {:?}",
-                    par.report,
-                    seq.report
-                );
-            }
-        }
-    }
-
-    #[test]
     fn incremental_analysis_changes_no_decision() {
         let shape = compress_mini();
-        let inc = run_with(&shape, true, 1);
-        let full = run_with(&shape, false, 1);
+        let inc = run_with(&shape, true);
+        let full = run_with(&shape, false);
         assert_eq!(inc.program, full.program);
         assert!(inc.report.decisions_eq(&full.report));
         assert!(inc.report.profile.incremental_analyses > 0);

@@ -97,16 +97,10 @@ pub fn check_hierarchy(
     timing: &MemTiming,
 ) -> Result<TheoremReport, AnalysisError> {
     let refine = rtpf_cache::RefineConfig::default();
-    let a = WcetAnalysis::analyze_hierarchy(
-        original,
-        Layout::of(original),
-        hierarchy,
-        timing,
-        refine,
-        1,
-    )?;
+    let a =
+        WcetAnalysis::analyze_hierarchy(original, Layout::of(original), hierarchy, timing, refine)?;
     let b =
-        WcetAnalysis::analyze_hierarchy(optimized, optimized_layout, hierarchy, timing, refine, 1)?;
+        WcetAnalysis::analyze_hierarchy(optimized, optimized_layout, hierarchy, timing, refine)?;
     let tau_before = a.tau_w();
     let tau_after = b.tau_w();
     Ok(TheoremReport {

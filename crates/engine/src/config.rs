@@ -66,14 +66,6 @@ pub struct EngineConfig {
     /// (DESIGN.md §12). On by default in every profile; a no-op under LRU,
     /// so LRU artifacts are bit-identical with it on or off.
     refine: RefineConfig,
-    /// Result-invariant execution strategy knob (identical outputs per
-    /// `OptimizeParams` docs), excluded from the artifact fingerprint.
-    verify_workers: usize,
-    /// Worker threads for the per-set refinement fan-out (FIFO/PLRU; idle
-    /// under LRU); `0` = one per core. The classify fixpoint is
-    /// sequential. Result-invariant like `verify_workers` (DESIGN.md §13),
-    /// so excluded from the fingerprint.
-    threads: usize,
     severity: SeverityConfig,
 }
 
@@ -105,8 +97,6 @@ impl EngineConfig {
             },
             check_effectiveness: true,
             refine: RefineConfig::on(),
-            verify_workers: 0,
-            threads: 0,
             severity: SeverityConfig::new(),
         }
     }
@@ -207,28 +197,18 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the verification worker count (`0` = one per core).
-    pub fn with_verify_workers(mut self, workers: usize) -> EngineConfig {
-        self.verify_workers = workers;
+    /// Does nothing: an analysis and an optimization run on one thread
+    /// (DESIGN.md §13). Kept only so the `perfbench` package, which may
+    /// not change alongside this crate, still builds; the next change to
+    /// the benchmark deletes its calls and this setter.
+    pub fn with_verify_workers(self, _workers: usize) -> EngineConfig {
         self
     }
 
-    /// Sets the analysis worker-thread count (`0` = one per core). Threads
-    /// drive only the per-set refinement fan-out, which has work under
-    /// FIFO/PLRU and none under LRU; outputs are byte-identical at any
-    /// count (DESIGN.md §13).
-    pub fn with_threads(mut self, threads: usize) -> EngineConfig {
-        self.threads = threads;
+    /// Does nothing, and is kept for the `perfbench` build only, like the
+    /// setter above.
+    pub fn with_threads(self, _threads: usize) -> EngineConfig {
         self
-    }
-
-    /// The analysis worker-thread count with `0` resolved to one per core.
-    pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
     }
 
     /// Sets the audit severity policy.
@@ -307,7 +287,6 @@ impl EngineConfig {
             timing: self.timing(),
             check_effectiveness: self.check_effectiveness,
             incremental: true,
-            verify_workers: self.verify_workers,
             refine: self.refine,
             ..OptimizeParams::default()
         };
@@ -424,13 +403,10 @@ impl EngineConfig {
 
     /// Content hash of everything that can influence a computed artifact.
     ///
-    /// `verify_workers` and `threads` are excluded: both are proven
-    /// result-invariant (see `OptimizeParams` and DESIGN.md §13), so keying
-    /// on them would only invalidate caches spuriously. Candidate
-    /// verification is always incremental, which `OptimizeParams` proves
-    /// decision-identical to from-scratch re-analysis. The severity policy
-    /// is excluded because it shapes *reporting* of diagnostics, which are
-    /// never cached.
+    /// Candidate verification is always incremental, which
+    /// `OptimizeParams` proves decision-identical to from-scratch
+    /// re-analysis. The severity policy is excluded because it shapes
+    /// *reporting* of diagnostics, which are never cached.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = FpHasher::new();
         self.write_analysis_inputs(&mut h);
@@ -501,12 +477,8 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_ignores_result_invariant_knobs() {
+    fn fingerprint_tracks_result_knobs() {
         let base = EngineConfig::evaluation(k8());
-        let same = base.clone().with_verify_workers(1).with_threads(3);
-        assert_eq!(base.fingerprint(), same.fingerprint());
-        assert!(same.resolved_threads() == 3);
-        assert!(base.resolved_threads() >= 1);
         let diff = base.clone().with_seed(1);
         assert_ne!(base.fingerprint(), diff.fingerprint());
         let diff = base.clone().with_penalty(99);

@@ -181,7 +181,6 @@ impl Engine {
                 &self.config.hierarchy(),
                 &self.config.timing(),
                 self.config.refine(),
-                self.config.resolved_threads(),
             )
             .map_err(EngineError::Analysis)?;
             self.absorb(a.profile());
@@ -196,7 +195,6 @@ impl Engine {
             &self.config.hierarchy(),
             &self.config.timing(),
             self.config.refine(),
-            self.config.resolved_threads(),
         )
         .map_err(EngineError::Analysis)?;
         self.absorb(a.profile());

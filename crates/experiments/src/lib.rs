@@ -41,16 +41,7 @@ pub use rtpf_engine::{parse_csv, to_csv, Gated, UnitResult, COLUMNS};
 /// the seeded RNG. This mirrors the paper's gem5 traces far better than
 /// uniformly random loop trip counts would.
 pub fn engine_for(config: CacheConfig) -> Engine {
-    // One analysis thread per engine: the sweep grid already runs one
-    // worker per core ([`Grid`]), so nested fan-out would only oversubscribe.
-    engine_with_threads(config, 1)
-}
-
-/// [`engine_for`] with an explicit analysis worker-thread count (`0` = one
-/// per core). Outputs are byte-identical at any count (DESIGN.md §13);
-/// the determinism tests use this to pit thread counts against each other.
-pub fn engine_with_threads(config: CacheConfig, threads: usize) -> Engine {
-    Engine::new(EngineConfig::evaluation(config).with_threads(threads))
+    Engine::new(EngineConfig::evaluation(config))
 }
 
 /// Optimizes under the paper's three conditions (Condition 3 — no ACET or
@@ -64,18 +55,7 @@ pub fn optimize_with_condition3(program: &Program, config: CacheConfig) -> Gated
 
 /// Runs one `(program, configuration)` unit through the engine.
 pub fn run_unit(name: &str, program: &Program, k: &str, config: CacheConfig) -> UnitResult {
-    run_unit_with_threads(name, program, k, config, 1)
-}
-
-/// [`run_unit`] with an explicit analysis worker-thread count.
-pub fn run_unit_with_threads(
-    name: &str,
-    program: &Program,
-    k: &str,
-    config: CacheConfig,
-    threads: usize,
-) -> UnitResult {
-    let unit = engine_with_threads(config, threads)
+    let unit = engine_for(config)
         .unit(name, k, program)
         .expect("suite programs evaluate");
     (*unit).clone()
@@ -401,7 +381,7 @@ pub fn run_l2_sweep() -> Vec<L2Row> {
     let mut out: Vec<L2Row> = grid.run(&units, |_, &(pi, ci)| {
         let b = &suite[pi];
         let (k, econfig) = &points[ci];
-        let unit = Engine::new(econfig.clone().with_threads(1))
+        let unit = Engine::new(econfig.clone())
             .unit(b.name, k, &b.program)
             .expect("suite programs evaluate");
         (econfig.l2().copied(), (*unit).clone())
@@ -614,7 +594,7 @@ mod tests {
             .iter()
             .take(2)
             .map(|(k, econfig)| {
-                let unit = Engine::new(econfig.clone().with_threads(1))
+                let unit = Engine::new(econfig.clone())
                     .unit("bs", k, &b.program)
                     .expect("evaluates");
                 (econfig.l2().copied(), (*unit).clone())

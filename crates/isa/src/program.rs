@@ -249,7 +249,7 @@ impl Program {
 
     /// Removes instruction `id`, which must be the newest in the arena —
     /// the exact inverse of the latest [`insert_instr`](Program::insert_instr).
-    /// This lets a caller speculate an insertion in place and revert it
+    /// This lets a caller try an insertion in place and revert it
     /// without cloning the program. No other instruction may reference
     /// `id` as a prefetch target.
     ///

@@ -39,4 +39,4 @@ mod server;
 
 pub use boot::{parse_serve_args, serve_main, SERVE_USAGE};
 pub use request::{decode_request, encode_request};
-pub use server::{Daemon, DaemonConfig};
+pub use server::{Daemon, DaemonConfig, IDLE_TIMEOUT};

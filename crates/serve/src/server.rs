@@ -8,7 +8,8 @@
 //! sheds at the door instead of queueing unboundedly. Keep-alive
 //! connections are released (with `connection: close`) whenever other
 //! connections are waiting, so a handful of chatty clients cannot
-//! starve the pool.
+//! starve the pool; a connection that sends nothing for
+//! [`IDLE_TIMEOUT`] is closed, so a silent one cannot either.
 //!
 //! Graceful shutdown: `POST /shutdown` acknowledges, flips the shutdown
 //! flag, and self-connects to unblock the acceptor; the acceptor stops
@@ -17,17 +18,24 @@
 //! joins them and returns. Nothing accepted is dropped unanswered.
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use rtpf_engine::{json_escape, ArtifactStore, ServiceCore, ServiceError, StoreConfig};
 
 use crate::http::{read_request, write_response, Request};
 use crate::request::decode_request;
+
+/// How long a worker waits for the next byte of a request before it
+/// closes the connection. Without it, a client that connects and sends
+/// nothing (or idles after a keep-alive response) holds a worker, and
+/// with it graceful shutdown, for as long as it stays connected.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Daemon configuration (the `rtpfd` flags).
 #[derive(Clone, Debug)]
@@ -236,6 +244,9 @@ fn serve_connection(
     shutdown: &Arc<AtomicBool>,
     addr: SocketAddr,
 ) {
+    if conn.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = match conn.try_clone() {
         Ok(c) => BufReader::new(c),
         Err(_) => return,
@@ -246,6 +257,8 @@ fn serve_connection(
             Ok(Some(r)) => r,
             // Clean keep-alive teardown by the peer.
             Ok(None) => return,
+            // The client went quiet for `IDLE_TIMEOUT`: release the worker.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => return,
             Err(e) => {
                 let _ = write_response(&mut writer, 400, &error_body(&e), false);
                 return;

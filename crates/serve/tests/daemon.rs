@@ -4,9 +4,9 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rtpf_cache::CacheConfig;
 use rtpf_engine::{
@@ -15,7 +15,7 @@ use rtpf_engine::{
 };
 use rtpf_serve::http::{request, ClientResponse};
 use rtpf_serve::json::Value;
-use rtpf_serve::{encode_request, Daemon, DaemonConfig};
+use rtpf_serve::{encode_request, Daemon, DaemonConfig, IDLE_TIMEOUT};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -365,4 +365,33 @@ fn graceful_shutdown_drains_and_stops_accepting() {
         request(addr.as_str(), "/healthz", None, Duration::from_secs(2)).is_err(),
         "a drained daemon must not serve new connections"
     );
+}
+
+/// A client that connects and sends nothing holds the only worker for at
+/// most `IDLE_TIMEOUT`: requests queued behind it are answered, and a
+/// shutdown queued behind a second silent client still drains.
+#[test]
+fn a_silent_connection_neither_starves_the_pool_nor_blocks_shutdown() {
+    let server = Running::start(DaemonConfig {
+        workers: 1,
+        ..DaemonConfig::default()
+    });
+    let limit = IDLE_TIMEOUT + Duration::from_secs(5);
+    let _silent = TcpStream::connect(server.addr.as_str()).expect("connects");
+    let health = request(server.addr.as_str(), "/healthz", None, limit)
+        .expect("healthz is answered once the silent connection times out");
+    assert_eq!(health.status, 200);
+
+    let _idle = TcpStream::connect(server.addr.as_str()).expect("connects");
+    let t0 = Instant::now();
+    let ack = request(server.addr.as_str(), "/shutdown", Some("{}"), limit)
+        .expect("shutdown is answered once the idle connection times out");
+    assert_eq!(ack.status, 200);
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || tx.send(server.thread.join()));
+    let left = limit.saturating_sub(t0.elapsed());
+    rx.recv_timeout(left)
+        .expect("the daemon drains within IDLE_TIMEOUT + 5 s")
+        .expect("daemon thread joins")
+        .expect("daemon drains cleanly");
 }

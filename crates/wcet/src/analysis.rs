@@ -51,9 +51,6 @@ pub struct WcetAnalysis {
     timing: MemTiming,
     hw_next_line: Option<u32>,
     refine: RefineConfig,
-    /// Worker threads for the refinement's per-set fan-out; inherited by
-    /// incremental re-analyses of this lineage.
-    threads: usize,
     /// Fingerprint of the analysed program's CFG (blocks, edges, loop
     /// bounds); incremental re-analysis requires it to be unchanged.
     cfg_sig: u64,
@@ -122,7 +119,6 @@ impl WcetAnalysis {
             timing,
             None,
             RefineConfig::default(),
-            1,
         )
     }
 
@@ -135,11 +131,7 @@ impl WcetAnalysis {
     ///
     /// `refine` configures the exact FIFO/tree-PLRU refinement; under LRU
     /// or with refinement disabled the result is bit-identical to the
-    /// unrefined analysis. The refinement's per-set explorations run on
-    /// `threads` scoped worker threads (`1` = sequential); the classify
-    /// fixpoint itself is sequential. Results are bit-identical at any
-    /// thread count; incremental re-analyses derived from this analysis
-    /// inherit the same thread count.
+    /// unrefined analysis.
     ///
     /// # Errors
     ///
@@ -151,9 +143,8 @@ impl WcetAnalysis {
         hierarchy: &HierarchyConfig,
         timing: &MemTiming,
         refine: RefineConfig,
-        threads: usize,
     ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(p, layout, hierarchy, timing, None, refine, threads)
+        Self::analyze_full(p, layout, hierarchy, timing, None, refine)
     }
 
     /// Analyses `p` assuming an always-on **next-N-line hardware
@@ -178,11 +169,9 @@ impl WcetAnalysis {
             timing,
             Some(n),
             RefineConfig::default(),
-            1,
         )
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn analyze_full(
         p: &Program,
         layout: Layout,
@@ -190,7 +179,6 @@ impl WcetAnalysis {
         timing: &MemTiming,
         hw_next_line: Option<u32>,
         refine: RefineConfig,
-        threads: usize,
     ) -> Result<Self, AnalysisError> {
         let t0 = Instant::now();
         let vivu = Arc::new(VivuGraph::build(p)?);
@@ -219,7 +207,6 @@ impl WcetAnalysis {
             timing,
             hw_next_line,
             refine,
-            threads,
             cls,
             cache,
             vivu_ns,
@@ -241,7 +228,6 @@ impl WcetAnalysis {
         timing: &MemTiming,
         hw_next_line: Option<u32>,
         refine: RefineConfig,
-        threads: usize,
         cls: ClassifyResult,
         cache: Arc<AnalysisCache>,
         vivu_ns: u64,
@@ -266,7 +252,6 @@ impl WcetAnalysis {
             &cls.sigs,
             &cls.mem_block,
             &mut class,
-            threads,
         );
         let refine_ns = t_refine.elapsed().as_nanos() as u64;
 
@@ -361,7 +346,6 @@ impl WcetAnalysis {
             timing: *timing,
             hw_next_line,
             refine,
-            threads,
             cfg_sig,
             class,
             cheap_class,
@@ -414,7 +398,6 @@ impl WcetAnalysis {
                 &self.timing,
                 self.hw_next_line,
                 self.refine,
-                self.threads,
             );
         }
 
@@ -455,7 +438,6 @@ impl WcetAnalysis {
             &self.timing,
             self.hw_next_line,
             self.refine,
-            self.threads,
             cls,
             Arc::clone(&self.cache),
             vivu_ns,
@@ -472,7 +454,6 @@ impl WcetAnalysis {
                 &self.timing,
                 self.hw_next_line,
                 self.refine,
-                self.threads,
             )?;
             debug_assert_eq!(
                 result.tau_w, full.tau_w,
@@ -781,7 +762,6 @@ mod tests {
             &HierarchyConfig::l1_only(cfg),
             &timing,
             RefineConfig::default(),
-            1,
         )
         .unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());

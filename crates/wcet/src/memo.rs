@@ -240,11 +240,11 @@ const MEMO_SHARDS: usize = 16;
 /// Interner + evaluation memo shared by every analysis of one lineage
 /// (same cache configuration, timing, and hardware-prefetch setting).
 ///
-/// Concurrency-safe by sharding: speculative verification runs several
-/// analyses of one lineage at once, each looking up and storing
-/// evaluations, so the memo is split into `MEMO_SHARDS` independently
-/// locked maps keyed by the high bits of the evaluation hash, and
-/// out-states intern through a [`SharedInterner`]. Signatures keep one
+/// Concurrency-safe by sharding, because the cache is shared through
+/// `Arc`s and must be `Sync` (a lineage's analyses themselves run on one
+/// thread): the memo is split into `MEMO_SHARDS` independently locked
+/// maps keyed by the high bits of the evaluation hash, and out-states
+/// intern through a [`SharedInterner`]. Signatures keep one
 /// mutex — they are interned in each pass's setup phase. The structures
 /// that depend only on the lineage's VIVU graph — the fixpoint topology
 /// and the frozen IPET graph — are `OnceLock`s (write-once, lock-free

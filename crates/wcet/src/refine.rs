@@ -21,18 +21,13 @@
 //! abandons the *whole* set — concluding from a partial exploration would
 //! be unsound — and keeps the cheap classification for its references.
 //!
-//! The per-set explorations are completely independent — each reads only
-//! the shared graph and touches only references mapping to its own set —
-//! so they fan out across scoped worker threads (the `threads` knob, the
-//! only concurrency inside one analysis) and their outcomes are applied
-//! sequentially in sorted set order, which keeps the pass deterministic
-//! at any thread count.
+//! The per-set explorations are independent — each reads only the shared
+//! graph and touches only references mapping to its own set — and run
+//! one after another in sorted set order on the analysis's own thread.
 //!
 //! The pass runs deterministically after every classification (full and
 //! incremental alike), so an incremental re-analysis still produces
 //! bit-identical results to a from-scratch run.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rtpf_cache::{CacheConfig, Classification, RefineConfig, RefineMark, SetState};
 use rtpf_isa::MemBlockId;
@@ -93,7 +88,7 @@ struct SetOutcome {
     examined: Vec<usize>,
 }
 
-/// Per-worker exploration scratch, node-indexed and reused across sets.
+/// Exploration scratch, node-indexed and reused across sets.
 ///
 /// State sets hold interned ids: each distinct [`SetState`] of the
 /// current exploration is stored once (`states[id]`), so joins and the
@@ -276,9 +271,7 @@ fn explore_set(ctx: &Ctx<'_>, bucket: &Bucket, scratch: &mut Scratch) -> SetOutc
 /// `sigs` are the per-node touched-block signatures of the classify pass
 /// (own fetched block plus prefetch target per reference, in node-local
 /// order) — exactly the access sequence a concrete walk executes at the
-/// node. `mem_block` maps each reference to its fetched block. `threads`
-/// bounds the worker pool the per-set explorations fan out on (`1` =
-/// sequential in place); results are identical at any thread count.
+/// node. `mem_block` maps each reference to its fetched block.
 ///
 /// The pass is a no-op (all marks [`RefineMark::Untouched`]) when
 /// disabled, under LRU (the cheap domain is already exact), or when a
@@ -295,7 +288,6 @@ pub(crate) fn refine_classification(
     sigs: &[NodeSig],
     mem_block: &[MemBlockId],
     class: &mut [Classification],
-    threads: usize,
 ) -> (Vec<RefineMark>, RefineStats) {
     let mut marks = vec![RefineMark::Untouched; class.len()];
     let mut stats = RefineStats::default();
@@ -353,36 +345,13 @@ pub(crate) fn refine_classification(
         budget: refine.max_states as usize,
     };
 
-    // Workers claim target indices from an atomic counter (a single one
-    // runs in place); the outcomes are re-sorted into target order before
-    // applying.
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut scratch = Scratch::default();
-        let mut got: Vec<(usize, SetOutcome)> = Vec::new();
-        loop {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            let Some(bucket) = buckets.get(k) else {
-                return got;
-            };
-            got.push((k, explore_set(&ctx, bucket, &mut scratch)));
-        }
-    };
-    let workers = threads.max(1).min(targets.len());
-    let mut outcomes = if workers <= 1 {
-        claim()
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
-            let joined = handles
-                .into_iter()
-                .map(|h| h.join().expect("refine worker panicked"));
-            joined.flatten().collect()
-        })
-    };
-    outcomes.sort_unstable_by_key(|&(k, _)| k);
+    let mut scratch = Scratch::default();
+    let outcomes: Vec<SetOutcome> = buckets
+        .iter()
+        .map(|bucket| explore_set(&ctx, bucket, &mut scratch))
+        .collect();
 
-    for (_, outcome) in outcomes {
+    for outcome in outcomes {
         stats.sets_targeted += 1;
         stats.sets_exhausted += u32::from(outcome.exhausted);
         for (ri, cl) in outcome.refined {
@@ -430,7 +399,6 @@ mod tests {
             &HierarchyConfig::l1_only(cfg),
             &MemTiming::default(),
             refine,
-            1,
         )
         .unwrap()
     }
@@ -492,47 +460,6 @@ mod tests {
                 .iter()
                 .all(|r| off.refine_mark(r.id) == RefineMark::Untouched));
             assert_eq!(*off.refine_stats(), super::RefineStats::default());
-        }
-    }
-
-    #[test]
-    fn parallel_refinement_matches_sequential() {
-        // Multiple targeted sets (working set spans several cache sets),
-        // so the parallel fan-out has real work to distribute. 1-thread
-        // and 3-thread passes must agree bit for bit.
-        let shape = Shape::seq([
-            Shape::loop_(10, Shape::code(24)),
-            Shape::if_else(1, Shape::code(12), Shape::code(8)),
-        ]);
-        let p = shape.compile("refine-par");
-        let cfg = CacheConfig::new(2, 16, 128)
-            .unwrap()
-            .with_policy(ReplacementPolicy::Fifo)
-            .unwrap();
-        let timing = MemTiming::default();
-        let seq = WcetAnalysis::analyze_hierarchy(
-            &p,
-            Layout::of(&p),
-            &HierarchyConfig::l1_only(cfg),
-            &timing,
-            RefineConfig::on(),
-            1,
-        )
-        .unwrap();
-        let par = WcetAnalysis::analyze_hierarchy(
-            &p,
-            Layout::of(&p),
-            &HierarchyConfig::l1_only(cfg),
-            &timing,
-            RefineConfig::on(),
-            3,
-        )
-        .unwrap();
-        assert_eq!(seq.tau_w(), par.tau_w());
-        assert_eq!(seq.refine_stats(), par.refine_stats());
-        for r in seq.acfg().refs() {
-            assert_eq!(seq.classification(r.id), par.classification(r.id));
-            assert_eq!(seq.refine_mark(r.id), par.refine_mark(r.id));
         }
     }
 
@@ -658,7 +585,6 @@ mod tests {
             &HierarchyConfig::l1_only(cfg),
             &timing,
             RefineConfig::default(),
-            1,
         )
         .unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());

@@ -51,15 +51,12 @@ fn check_suite(k: &str, policy: ReplacementPolicy) {
         .find(|(id, _)| id == k)
         .expect("Table 2 id");
     let config = geo.with_policy(policy).expect("Table 2 supports policy");
-    let params = OptimizeParams {
-        verify_workers: 1,
-        ..OptimizeParams::default()
-    };
     for b in rtpf_suite::catalog() {
         let what = format!("{} {k} {policy}", b.name);
-        let opt = Optimizer::new_hierarchy(HierarchyConfig::l1_only(config), params)
-            .run(&b.program)
-            .expect("suite program optimizes");
+        let opt =
+            Optimizer::new_hierarchy(HierarchyConfig::l1_only(config), OptimizeParams::default())
+                .run(&b.program)
+                .expect("suite program optimizes");
         assert_fresh_ipet_agrees(&opt.analysis_before, &format!("{what} before"));
         assert_fresh_ipet_agrees(&opt.analysis_after, &format!("{what} after"));
     }

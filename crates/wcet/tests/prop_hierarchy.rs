@@ -5,12 +5,14 @@
 //! single-level analysis; an L1 always-hit reference contributes zero L2
 //! accesses to the abstract update (its access classification is
 //! `Never`); and the two-level bound never exceeds the single-level one
-//! (an L2 can only absorb misses, not create them).
+//! (an L2 can only absorb misses, not create them). A suite slice also
+//! checks the profile's phase split with and without an L2.
 
 use proptest::prelude::*;
 
 use rtpf_cache::{
     CacheAccessClassification, CacheConfig, Classification, HierarchyConfig, MemTiming,
+    RefineConfig, ReplacementPolicy,
 };
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
@@ -78,7 +80,6 @@ proptest! {
             &HierarchyConfig::l1_only(config),
             &timing,
             Default::default(),
-            1,
         )
         .expect("degenerate hierarchy");
         prop_assert_eq!(single.tau_w(), hier.tau_w());
@@ -105,7 +106,6 @@ proptest! {
             &hierarchy,
             &timing(),
             Default::default(),
-            1,
         )
         .expect("two-level analysis");
         for r in a.acfg().refs() {
@@ -143,7 +143,6 @@ proptest! {
             &hierarchy,
             &t,
             Default::default(),
-            1,
         )
         .expect("two-level analysis");
         // Per reference, charging an L2 hit can only lower the bound.
@@ -168,7 +167,6 @@ proptest! {
             &hierarchy,
             &t,
             Default::default(),
-            1,
         )
         .expect("base analysis");
 
@@ -191,7 +189,6 @@ proptest! {
             &hierarchy,
             &t,
             Default::default(),
-            1,
         )
         .expect("from-scratch analysis");
 
@@ -204,4 +201,65 @@ proptest! {
             prop_assert_eq!(inc.t_w(r.id), full.t_w(r.id));
         }
     }
+}
+
+/// Cheap-but-diverse suite slice: branchy, loop-nest and state-machine
+/// shapes spanning small and large reference footprints.
+const PROGRAMS: [&str; 6] = ["bs", "crc", "fft1", "insertsort", "matmult", "statemate"];
+
+/// Geometry extremes plus mid-grid points of Table 2 (index into
+/// `paper_configs`): direct-mapped/small, high-assoc/large, and the
+/// middle of the grid.
+const CONFIG_IDX: [usize; 6] = [0, 7, 13, 20, 28, 35];
+
+/// The fixpoint's join and transfer timers time disjoint stretches of
+/// the one thread the fixpoint runs on, so they fit inside its wall clock.
+fn assert_phase_split(ctx: &str, a: &WcetAnalysis) {
+    let p = a.profile();
+    assert!(
+        p.join_ns + p.transfer_ns <= p.fixpoint_ns,
+        "join {} + transfer {} ns exceed fixpoint {} ns for {ctx}",
+        p.join_ns,
+        p.transfer_ns,
+        p.fixpoint_ns
+    );
+}
+
+/// The phase split holds for every policy on the suite slice, single-level
+/// and behind the 8:16:16384 L2 (which only pairs with the 16 B-block
+/// geometries).
+#[test]
+fn fixpoint_phase_split_fits_inside_the_fixpoint_wall_clock() {
+    let l2 = CacheConfig::new(8, 16, 16384).expect("valid L2");
+    let l2_timing = timing();
+    let configs = CacheConfig::paper_configs();
+    let mut two_level = 0;
+    for name in PROGRAMS {
+        let b = rtpf_suite::by_name(name).expect("suite program");
+        for &ki in &CONFIG_IDX {
+            let (_, geo) = &configs[ki];
+            for policy in ReplacementPolicy::ALL {
+                let l1 = geo.with_policy(policy).expect("Table 2 supports policy");
+                let mut hierarchies = vec![(HierarchyConfig::l1_only(l1), MemTiming::default())];
+                if geo.block_bytes() == l2.block_bytes() {
+                    let two = HierarchyConfig::two_level(l1, l2).expect("valid hierarchy");
+                    hierarchies.push((two, l2_timing));
+                    two_level += 1;
+                }
+                for (hierarchy, t) in &hierarchies {
+                    let a = WcetAnalysis::analyze_hierarchy(
+                        &b.program,
+                        Layout::of(&b.program),
+                        hierarchy,
+                        t,
+                        RefineConfig::on(),
+                    )
+                    .expect("analysis succeeds");
+                    let ctx = format!("{name} k{} {policy} {hierarchy}", ki + 1);
+                    assert_phase_split(&ctx, &a);
+                }
+            }
+        }
+    }
+    assert_eq!(two_level, PROGRAMS.len() * 4 * ReplacementPolicy::ALL.len());
 }

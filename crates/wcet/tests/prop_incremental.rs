@@ -66,7 +66,6 @@ proptest! {
             &HierarchyConfig::l1_only(config),
             &timing,
             RefineConfig::default(),
-            1,
         )
             .expect("from-scratch analysis");
 
@@ -115,7 +114,6 @@ proptest! {
             &HierarchyConfig::l1_only(config),
             &timing,
             RefineConfig::default(),
-            1,
         )
                 .expect("from-scratch analysis");
             prop_assert_eq!(inc.tau_w(), full.tau_w());

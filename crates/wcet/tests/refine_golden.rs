@@ -62,7 +62,6 @@ fn render() -> String {
                     &HierarchyConfig::l1_only(config),
                     &timing,
                     RefineConfig::on(),
-                    1,
                 )
                 .expect("suite program analyses");
                 let s = a.refine_stats();
