@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::{MayState, MustState};
 
@@ -82,6 +82,9 @@ fn content_hash(pair: &StatePair) -> u64 {
 /// rare distinct-content hash collision linear-probes to `key + 1`.
 /// Entries are never removed, so probe chains stay valid forever and a
 /// probe can stop at the first vacant slot.
+///
+/// The WCET analysis keeps one per lineage, owned by that lineage's
+/// evaluation cache and used from one thread, so it takes no lock.
 #[derive(Default, Debug)]
 pub struct StateInterner {
     buckets: HashMap<u64, Arc<StatePair>, BuildHasherDefault<PreHashed>>,
@@ -94,51 +97,12 @@ impl StateInterner {
         Self::default()
     }
 
-    /// Registers an already-shared pair (e.g. carried over from a previous
-    /// analysis) as canonical without touching the hit/fresh counters, so
-    /// that recomputed states equal to it resolve to the same allocation.
-    pub fn seed(&mut self, arc: &Arc<StatePair>) {
-        let mut key = content_hash(arc);
-        loop {
-            match self.buckets.get(&key) {
-                Some(p) if Arc::ptr_eq(p, arc) || **p == **arc => return,
-                Some(_) => key = key.wrapping_add(1),
-                None => {
-                    self.buckets.insert(key, Arc::clone(arc));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Returns the canonical `Arc` for `pair`, allocating only if no equal
-    /// pair has been interned before.
-    pub fn intern(&mut self, pair: StatePair) -> Arc<StatePair> {
-        let mut key = content_hash(&pair);
-        loop {
-            match self.buckets.get(&key) {
-                Some(p) if **p == pair => {
-                    self.hits += 1;
-                    return Arc::clone(p);
-                }
-                Some(_) => key = key.wrapping_add(1),
-                None => {
-                    self.fresh += 1;
-                    let arc = Arc::new(pair);
-                    self.buckets.insert(key, Arc::clone(&arc));
-                    return arc;
-                }
-            }
-        }
-    }
-
-    /// [`intern`](StateInterner::intern) for a borrowed pair, with the
-    /// content hash precomputed by the caller: clones `pair` only when no
-    /// equal pair exists yet (the clone allocates exactly `len`, so
-    /// oversized scratch capacity is not carried into the store). Returns
-    /// the canonical `Arc` and whether it was freshly allocated.
-    fn intern_ref_hashed(&mut self, key: u64, pair: &StatePair) -> (Arc<StatePair>, bool) {
-        let mut key = key;
+    /// Returns the canonical `Arc` for `pair` and whether it was freshly
+    /// allocated. Clones `pair` only when no equal pair exists yet (the
+    /// clone allocates exactly `len`, so oversized scratch capacity is not
+    /// carried into the store).
+    pub fn intern_ref(&mut self, pair: &StatePair) -> (Arc<StatePair>, bool) {
+        let mut key = content_hash(pair);
         loop {
             match self.buckets.get(&key) {
                 Some(p) if **p == *pair => {
@@ -156,71 +120,14 @@ impl StateInterner {
         }
     }
 
-    /// Number of `intern` calls answered from the store.
+    /// Number of `intern_ref` calls answered from the store.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Number of `intern` calls that allocated a new canonical pair.
+    /// Number of `intern_ref` calls that allocated a new canonical pair.
     pub fn fresh(&self) -> u64 {
         self.fresh
-    }
-}
-
-/// Number of independently locked shards in a [`SharedInterner`]. A power
-/// of two so the shard index is a shift of the (well-mixed) content hash.
-const SHARDS: usize = 16;
-
-/// A concurrency-safe [`StateInterner`], sharded by content hash.
-///
-/// A lineage's analyses run on one thread, but the interner lives in a
-/// cache shared through `Arc`s, so it must be `Sync`. Each shard owns a
-/// disjoint slice of the hash space behind its own mutex, and a shard's
-/// lock is held across the whole check-then-insert, so content-equal
-/// pairs always resolve to one canonical `Arc` — the invariant the
-/// pointer-keyed evaluation memo depends on — no matter how many threads
-/// race.
-#[derive(Default, Debug)]
-pub struct SharedInterner {
-    shards: [Mutex<StateInterner>; SHARDS],
-}
-
-impl SharedInterner {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The content hash is multiply-mixed, so its high bits spread best.
-    #[inline]
-    fn shard_of(hash: u64) -> usize {
-        (hash >> 60) as usize & (SHARDS - 1)
-    }
-
-    /// Returns the canonical `Arc` for `pair` and whether it was freshly
-    /// allocated, cloning `pair` only on a miss.
-    pub fn intern_ref(&self, pair: &StatePair) -> (Arc<StatePair>, bool) {
-        let hash = content_hash(pair);
-        self.shards[Self::shard_of(hash)]
-            .lock()
-            .expect("interner shard poisoned")
-            .intern_ref_hashed(hash, pair)
-    }
-
-    /// Total intern calls answered from the store, across shards.
-    pub fn hits(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("interner shard poisoned").hits())
-            .sum()
-    }
-
-    /// Total intern calls that allocated a new canonical pair, across
-    /// shards.
-    pub fn fresh(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("interner shard poisoned").fresh())
-            .sum()
     }
 }
 
@@ -244,39 +151,27 @@ mod tests {
     #[test]
     fn equal_pairs_share_one_allocation() {
         let mut it = StateInterner::new();
-        let a = it.intern(pair(&[1, 2, 3]));
-        let b = it.intern(pair(&[1, 2, 3]));
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(it.hits(), 1);
-        assert_eq!(it.fresh(), 1);
-    }
-
-    #[test]
-    fn shared_interner_resolves_equal_pairs_across_threads() {
-        let it = SharedInterner::new();
-        let canon: Vec<Arc<StatePair>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| s.spawn(|| it.intern_ref(&pair(&[1, 2, 3])).0))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for a in &canon {
-            assert!(Arc::ptr_eq(a, &canon[0]), "racy intern split the canon");
+        let (a, fresh) = it.intern_ref(&pair(&[1, 2, 3]));
+        assert!(fresh);
+        for _ in 0..3 {
+            let (b, fresh) = it.intern_ref(&pair(&[1, 2, 3]));
+            assert!(!fresh);
+            assert!(Arc::ptr_eq(&a, &b));
         }
-        assert_eq!(it.fresh(), 1);
         assert_eq!(it.hits(), 3);
+        assert_eq!(it.fresh(), 1);
         // A content-distinct pair gets its own allocation.
         let (other, fresh) = it.intern_ref(&pair(&[4]));
         assert!(fresh);
-        assert!(!Arc::ptr_eq(&other, &canon[0]));
+        assert!(!Arc::ptr_eq(&other, &a));
         assert_eq!(it.fresh(), 2);
     }
 
     #[test]
     fn distinct_pairs_stay_distinct() {
         let mut it = StateInterner::new();
-        let a = it.intern(pair(&[1]));
-        let b = it.intern(pair(&[2]));
+        let (a, _) = it.intern_ref(&pair(&[1]));
+        let (b, _) = it.intern_ref(&pair(&[2]));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(*a, pair(&[1]));
         assert_eq!(*b, pair(&[2]));

@@ -69,7 +69,7 @@ pub use hierarchy::{
     classify_update_l2, CacheAccessClassification, ConcreteHierarchy, HierarchyConfig,
     HierarchyOutcome,
 };
-pub use intern::{SharedInterner, StateInterner, StatePair};
+pub use intern::{StateInterner, StatePair};
 pub use join::join_pairs_into;
 pub use may::MayState;
 pub use must::MustState;

@@ -2,7 +2,7 @@
 
 use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, RefineConfig};
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::{AnalysisError, AnalysisProfile, WcetAnalysis};
+use rtpf_wcet::{AnalysisCache, AnalysisError, AnalysisProfile, WcetAnalysis};
 
 use crate::candidates;
 use crate::path::WcetPath;
@@ -91,6 +91,10 @@ impl OptimizeReport {
 }
 
 /// An optimized program plus the analyses proving the transformation safe.
+///
+/// The analyses own no evaluation memo: the run's lineage cache died when
+/// [`Optimizer::run`] returned, so the result's footprint is its program
+/// and the two analyses' own tables.
 #[derive(Clone, Debug)]
 pub struct OptimizeResult {
     /// The prefetch-equivalent optimized program.
@@ -146,6 +150,10 @@ impl Optimizer {
     /// each single insertion is verified against the program as it stands
     /// after every earlier acceptance.
     ///
+    /// The run owns its lineage: one [`AnalysisCache`], rooted in the
+    /// analysis of `p` and passed to every verification, is dropped when
+    /// the run returns. The returned analyses hold none of it.
+    ///
     /// # Errors
     ///
     /// Fails if the program is invalid or the analysis context budget is
@@ -154,12 +162,14 @@ impl Optimizer {
         let timing = self.params.timing;
         let mut prog = p.clone();
         let mut layout = Layout::of(&prog);
-        let before = WcetAnalysis::analyze_hierarchy(
+        let mut lineage = AnalysisCache::new();
+        let before = WcetAnalysis::analyze_hierarchy_in(
             &prog,
             layout.clone(),
             &self.hierarchy,
             &timing,
             self.params.refine,
+            &mut lineage,
         )?;
         let mut cur = before.clone();
         let mut report = OptimizeReport {
@@ -194,7 +204,7 @@ impl Optimizer {
             if applied == 0 {
                 break;
             }
-            let a2 = self.verify_analysis(&cur, &p2, l2.clone())?;
+            let a2 = self.verify_analysis(&mut lineage, &cur, &p2, l2.clone())?;
             report.profile.add(a2.profile());
             if accepts(&cur, &a2) {
                 prog = p2;
@@ -207,7 +217,14 @@ impl Optimizer {
 
             // Batch failed: verify insertions one at a time (the paper's
             // per-prefetch criterion, enforced exactly).
-            let any = self.verify_singles(&plan, &mut prog, &mut layout, &mut cur, &mut report)?;
+            let any = self.verify_singles(
+                &mut lineage,
+                &plan,
+                &mut prog,
+                &mut layout,
+                &mut cur,
+                &mut report,
+            )?;
             if !any {
                 break;
             }
@@ -225,16 +242,17 @@ impl Optimizer {
     }
 
     /// Analysis of a candidate program during verification: incremental
-    /// from the current accepted analysis when enabled, from scratch
-    /// otherwise.
+    /// from the current accepted analysis, through the run's `lineage`
+    /// cache, when enabled; from scratch otherwise.
     fn verify_analysis(
         &self,
+        lineage: &mut AnalysisCache,
         cur: &WcetAnalysis,
         p: &Program,
         layout: Layout,
     ) -> Result<WcetAnalysis, AnalysisError> {
         if self.params.incremental {
-            cur.reanalyze_after_insert(p, layout)
+            cur.reanalyze_after_insert(p, layout, lineage)
         } else {
             WcetAnalysis::analyze_hierarchy(
                 p,
@@ -251,6 +269,7 @@ impl Optimizer {
     /// analysis error, which is then propagated).
     fn verify_singles(
         &self,
+        lineage: &mut AnalysisCache,
         plan: &[PlanEntry],
         prog: &mut Program,
         layout: &mut Layout,
@@ -272,7 +291,7 @@ impl Optimizer {
                     .expect("reverting the insertion just applied");
                 *layout = saved_layout;
             };
-            match self.verify_analysis(cur, prog, layout.clone()) {
+            match self.verify_analysis(lineage, cur, prog, layout.clone()) {
                 Ok(a3) => {
                     report.profile.add(a3.profile());
                     if accepts(cur, &a3) {

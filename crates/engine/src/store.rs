@@ -160,7 +160,9 @@ pub trait Weigh: Send + Sync + 'static {
 
 /// Per-instruction footprint heuristic for analysis-sized artifacts: the
 /// VIVU graph, classifications, and per-reference tables all scale with
-/// the instruction count times the (small, bounded) context depth.
+/// the instruction count times the (small, bounded) context depth. An
+/// analysis owns no evaluation memo (the optimizer's lineage cache dies
+/// with its run), so this is its whole footprint.
 const ANALYSIS_BYTES_PER_INSTR: usize = 192;
 /// Per-instruction footprint of a compiled [`Program`] (instruction
 /// stream + CFG arenas + layout order).
@@ -192,7 +194,8 @@ impl Weigh for WcetAnalysis {
 
 impl Weigh for OptimizeResult {
     fn weight_bytes(&self) -> usize {
-        // The optimized program plus both before/after analyses.
+        // The optimized program plus both before/after analyses; neither
+        // pins the run's lineage cache, which was dropped with the run.
         std::mem::size_of::<Self>()
             + self.program.instr_count() * PROGRAM_BYTES_PER_INSTR
             + self.analysis_before.weight_bytes()

@@ -31,7 +31,9 @@ use crate::vivu::{NodeId, VivuGraph};
 /// The analysis also retains its per-context abstract cache states, so a
 /// follow-up analysis of the *same CFG* (e.g. after the optimizer inserts
 /// a prefetch instruction) can run incrementally via
-/// [`reanalyze_after_insert`](WcetAnalysis::reanalyze_after_insert).
+/// [`reanalyze_after_insert`](WcetAnalysis::reanalyze_after_insert). The
+/// evaluation memo such re-analyses share is not part of the analysis:
+/// the caller owns it as an [`AnalysisCache`].
 #[derive(Clone, Debug)]
 pub struct WcetAnalysis {
     layout: Layout,
@@ -74,10 +76,6 @@ pub struct WcetAnalysis {
     /// Per-node touched-block signatures, kept for change detection in the
     /// next incremental step.
     sigs: Vec<NodeSig>,
-    /// Evaluation memo shared across the whole analysis lineage (this
-    /// analysis and everything derived from it via
-    /// [`reanalyze_after_insert`](WcetAnalysis::reanalyze_after_insert)).
-    cache: Arc<AnalysisCache>,
     t_w: Vec<u64>,
     n_w: Vec<u64>,
     on_path: Vec<bool>,
@@ -119,6 +117,7 @@ impl WcetAnalysis {
             timing,
             None,
             RefineConfig::default(),
+            &mut AnalysisCache::new(),
         )
     }
 
@@ -144,7 +143,36 @@ impl WcetAnalysis {
         timing: &MemTiming,
         refine: RefineConfig,
     ) -> Result<Self, AnalysisError> {
-        Self::analyze_full(p, layout, hierarchy, timing, None, refine)
+        Self::analyze_hierarchy_in(
+            p,
+            layout,
+            hierarchy,
+            timing,
+            refine,
+            &mut AnalysisCache::new(),
+        )
+    }
+
+    /// [`analyze_hierarchy`](WcetAnalysis::analyze_hierarchy) as the root
+    /// of a lineage whose evaluations land in the caller-owned `cache`.
+    /// Passing the same cache to every
+    /// [`reanalyze_after_insert`](WcetAnalysis::reanalyze_after_insert)
+    /// derived from the result lets those re-analyses reuse them; the
+    /// cache starts over if it held another lineage.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `p` is structurally invalid or the analysis blows its
+    /// context budget.
+    pub fn analyze_hierarchy_in(
+        p: &Program,
+        layout: Layout,
+        hierarchy: &HierarchyConfig,
+        timing: &MemTiming,
+        refine: RefineConfig,
+        cache: &mut AnalysisCache,
+    ) -> Result<Self, AnalysisError> {
+        Self::analyze_full(p, layout, hierarchy, timing, None, refine, cache)
     }
 
     /// Analyses `p` assuming an always-on **next-N-line hardware
@@ -169,6 +197,7 @@ impl WcetAnalysis {
             timing,
             Some(n),
             RefineConfig::default(),
+            &mut AnalysisCache::new(),
         )
     }
 
@@ -179,14 +208,16 @@ impl WcetAnalysis {
         timing: &MemTiming,
         hw_next_line: Option<u32>,
         refine: RefineConfig,
+        cache: &mut AnalysisCache,
     ) -> Result<Self, AnalysisError> {
         let t0 = Instant::now();
         let vivu = Arc::new(VivuGraph::build(p)?);
         let acfg = Acfg::build(p, &vivu);
         let vivu_ns = t0.elapsed().as_nanos() as u64;
 
+        // A new VIVU graph roots a new lineage: the cache starts empty.
+        cache.bind(&vivu);
         let t1 = Instant::now();
-        let cache = Arc::new(AnalysisCache::new());
         let cls = classify::classify_full_cached(
             p,
             &layout,
@@ -194,7 +225,7 @@ impl WcetAnalysis {
             &acfg,
             hierarchy.l1(),
             hw_next_line,
-            &cache,
+            cache,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
@@ -229,7 +260,7 @@ impl WcetAnalysis {
         hw_next_line: Option<u32>,
         refine: RefineConfig,
         cls: ClassifyResult,
-        cache: Arc<AnalysisCache>,
+        cache: &mut AnalysisCache,
         vivu_ns: u64,
         fixpoint_ns: u64,
         incremental: bool,
@@ -241,10 +272,11 @@ impl WcetAnalysis {
         // incremental step.
         let cheap_class = cls.class;
         let mut class = cheap_class.clone();
+        let top = cache.topology(|| classify::build_topology(&vivu));
         let t_refine = Instant::now();
         let (marks, refine_stats) = refine::refine_classification(
             &vivu,
-            &cache,
+            &top,
             &acfg,
             config,
             refine,
@@ -268,7 +300,6 @@ impl WcetAnalysis {
         };
         let (l2_class, l2_cac) = match &l2_cfg {
             Some(l2cfg) => {
-                let top = cache.topology(|| classify::build_topology(&vivu));
                 let r = l2::classify_l2(&vivu, &top, &acfg, l2cfg, &class, &cls.sigs)?;
                 (r.class, r.cac)
             }
@@ -355,7 +386,6 @@ impl WcetAnalysis {
             pf_block: cls.pf_block,
             out_states: cls.out_states,
             sigs: cls.sigs,
-            cache,
             t_w,
             n_w,
             on_path: ipet.on_path,
@@ -370,16 +400,20 @@ impl WcetAnalysis {
     /// abstract cache states. Only condensation components holding a
     /// context whose touched-block signature changed — or receiving a
     /// changed input — are pushed through the must/may fixpoint, and
-    /// recomputed node evaluations resolve from the lineage's shared memo
-    /// whenever the same transfer was already applied to the same inputs;
-    /// IPET re-solves the lineage's frozen graph under the new weights.
+    /// recomputed node evaluations resolve from the lineage's memo in
+    /// `cache` whenever the same transfer was already applied to the same
+    /// inputs; IPET re-solves the lineage's frozen graph under the new
+    /// weights. `cache` is the one this analysis's lineage was rooted in
+    /// ([`analyze_hierarchy_in`](WcetAnalysis::analyze_hierarchy_in)); any
+    /// other cache starts over empty, which costs memo hits but changes no
+    /// result.
     ///
     /// The result is *identical* to a from-scratch
     /// [`analyze_hierarchy`](WcetAnalysis::analyze_hierarchy) of
     /// `(p2, layout2)` — see the `classify` module docs for the fixpoint
     /// uniqueness argument; debug builds cross-check this. If the CFG
     /// *did* change, the call transparently falls back to a full
-    /// analysis.
+    /// analysis, which roots a new lineage in an emptied `cache`.
     ///
     /// # Errors
     ///
@@ -388,6 +422,7 @@ impl WcetAnalysis {
         &self,
         p2: &Program,
         layout2: Layout,
+        cache: &mut AnalysisCache,
     ) -> Result<Self, AnalysisError> {
         let cfg_sig = cfg_signature(p2);
         if cfg_sig != self.cfg_sig {
@@ -398,6 +433,7 @@ impl WcetAnalysis {
                 &self.timing,
                 self.hw_next_line,
                 self.refine,
+                cache,
             );
         }
 
@@ -406,6 +442,7 @@ impl WcetAnalysis {
         let acfg = Acfg::build(p2, &vivu);
         let vivu_ns = t0.elapsed().as_nanos() as u64;
 
+        cache.bind(&vivu);
         let t1 = Instant::now();
         let cls = classify::classify_incremental(
             p2,
@@ -425,7 +462,7 @@ impl WcetAnalysis {
                 out_states: &self.out_states,
                 sigs: &self.sigs,
             },
-            &self.cache,
+            cache,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
 
@@ -439,7 +476,7 @@ impl WcetAnalysis {
             self.hw_next_line,
             self.refine,
             cls,
-            Arc::clone(&self.cache),
+            cache,
             vivu_ns,
             fixpoint_ns,
             true,
@@ -454,6 +491,7 @@ impl WcetAnalysis {
                 &self.timing,
                 self.hw_next_line,
                 self.refine,
+                &mut AnalysisCache::new(),
             )?;
             debug_assert_eq!(
                 result.tau_w, full.tau_w,
@@ -744,8 +782,19 @@ mod tests {
         use rtpf_isa::{InstrKind, Layout};
         let cfg = CacheConfig::new(2, 16, 128).unwrap();
         let timing = MemTiming::default();
+        let hierarchy = HierarchyConfig::l1_only(cfg);
+        let refine = RefineConfig::default();
         let p1 = Shape::seq([Shape::code(6), Shape::loop_(8, Shape::code(12))]).compile("ra");
-        let a1 = WcetAnalysis::analyze(&p1, &cfg, &timing).unwrap();
+        let mut lineage = AnalysisCache::new();
+        let a1 = WcetAnalysis::analyze_hierarchy_in(
+            &p1,
+            Layout::of(&p1),
+            &hierarchy,
+            &timing,
+            refine,
+            &mut lineage,
+        )
+        .unwrap();
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -755,20 +804,41 @@ mod tests {
         let anchor = p2.block(b0).instrs()[0];
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
-        let inc = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
-        let full = WcetAnalysis::analyze_hierarchy(
-            &p2,
-            layout2,
-            &HierarchyConfig::l1_only(cfg),
+        let full =
+            WcetAnalysis::analyze_hierarchy(&p2, layout2.clone(), &hierarchy, &timing, refine)
+                .unwrap();
+        // The lineage's own cache, a fresh one, and one that rooted
+        // another program's lineage under another geometry all give the
+        // from-scratch result: memo entries keep their keyed `Arc`s
+        // alive, so a pointer match always means the same content, and a
+        // cache bound to another lineage starts over (its topology and
+        // IPET graph describe another VIVU graph).
+        let other = Shape::if_else(1, Shape::code(4), Shape::code(9)).compile("other");
+        let mut foreign = AnalysisCache::new();
+        WcetAnalysis::analyze_hierarchy_in(
+            &other,
+            Layout::of(&other),
+            &HierarchyConfig::l1_only(CacheConfig::new(4, 16, 256).unwrap()),
             &timing,
-            RefineConfig::default(),
+            refine,
+            &mut foreign,
         )
         .unwrap();
-        assert_eq!(inc.tau_w(), full.tau_w());
-        assert_eq!(inc.wcet_misses(), full.wcet_misses());
-        assert_eq!(inc.classification_counts(), full.classification_counts());
-        assert_eq!(inc.profile().incremental_analyses, 1);
-        assert!(inc.profile().nodes_reanalyzed <= inc.profile().nodes_total);
+        let mut fresh = AnalysisCache::new();
+        for cache in [&mut lineage, &mut fresh, &mut foreign] {
+            let inc = a1
+                .reanalyze_after_insert(&p2, layout2.clone(), cache)
+                .unwrap();
+            assert_eq!(inc.tau_w(), full.tau_w());
+            assert_eq!(inc.wcet_misses(), full.wcet_misses());
+            assert_eq!(inc.classification_counts(), full.classification_counts());
+            for r in inc.acfg().refs() {
+                assert_eq!(inc.classification(r.id), full.classification(r.id));
+                assert_eq!(inc.n_w(r.id), full.n_w(r.id));
+            }
+            assert_eq!(inc.profile().incremental_analyses, 1);
+            assert!(inc.profile().nodes_reanalyzed <= inc.profile().nodes_total);
+        }
     }
 
     #[test]
@@ -785,7 +855,7 @@ mod tests {
         ])
         .compile("fb2");
         let inc = a1
-            .reanalyze_after_insert(&p2, rtpf_isa::Layout::of(&p2))
+            .reanalyze_after_insert(&p2, rtpf_isa::Layout::of(&p2), &mut AnalysisCache::new())
             .unwrap();
         let full = WcetAnalysis::analyze(&p2, &cfg, &timing).unwrap();
         assert_eq!(inc.tau_w(), full.tau_w());

@@ -134,15 +134,15 @@ pub(crate) fn classify_full_cached(
     acfg: &Acfg,
     config: &CacheConfig,
     hw_next_line: Option<u32>,
-    cache: &AnalysisCache,
+    cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
     run_classify(p, layout, vivu, acfg, config, hw_next_line, None, cache)
 }
 
 /// Re-classifies after a CFG-preserving program edit, recomputing only the
 /// SCCs whose touched-block signature or inputs changed (see the module
-/// docs) and answering repeated node evaluations from `cache`, which is
-/// shared across every analysis of the lineage. Produces results
+/// docs) and answering repeated node evaluations from `cache`, the
+/// lineage's evaluation cache. Produces results
 /// identical to a from-scratch classification of the new program.
 #[allow(clippy::too_many_arguments)]
 pub fn classify_incremental(
@@ -153,7 +153,7 @@ pub fn classify_incremental(
     config: &CacheConfig,
     hw_next_line: Option<u32>,
     prev: PrevPass<'_>,
-    cache: &AnalysisCache,
+    cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
     run_classify(
         p,
@@ -208,7 +208,7 @@ fn node_sigs(
     vivu: &VivuGraph,
     block_shift: u32,
     prev: Option<&[NodeSig]>,
-    cache: &AnalysisCache,
+    cache: &mut AnalysisCache,
 ) -> (Vec<NodeSig>, Option<Vec<bool>>) {
     let mut scratch: Vec<(MemBlockId, Option<MemBlockId>)> = Vec::new();
     // Per basic block: its signature and whether it changed, filled at
@@ -295,7 +295,7 @@ fn condensation(n: usize, succs: &[Vec<usize>]) -> Vec<Vec<usize>> {
 
 /// Builds the fixpoint topology of a VIVU graph: adjacency with the
 /// broken back edges restored, and its SCC condensation with members
-/// sorted by topological position. Shared across a lineage via
+/// sorted by topological position. Built once per lineage via
 /// [`AnalysisCache::topology`].
 pub(crate) fn build_topology(vivu: &VivuGraph) -> Topology {
     let n = vivu.len();
@@ -432,24 +432,24 @@ impl SolverScratch {
         }
     }
 
-    /// Fetches a scratch from the lineage pool, falling back to a fresh
-    /// one when the pool is empty or sized for a different graph. A
+    /// Takes the lineage's stored scratch, falling back to a fresh one
+    /// when there is none or it is sized for a different graph. A
     /// successfully finished solve leaves every node-indexed vector in its
-    /// initial state (worklist drained, local slots `take`n), so pooled
-    /// reuse skips the per-pass allocation *and* zero-fill.
-    fn acquire(cache: &AnalysisCache, n: usize, empty: &StatePair) -> SolverScratch {
-        match cache.take_scratch() {
+    /// initial state (worklist drained, local slots `take`n), so reuse
+    /// skips the per-pass allocation *and* zero-fill.
+    fn acquire(cache: &mut AnalysisCache, n: usize, empty: &StatePair) -> SolverScratch {
+        match cache.scratch.take() {
             Some(ws) if ws.local_idx.len() == n => ws,
             _ => SolverScratch::new(n, empty),
         }
     }
 
-    /// Returns the scratch to the pool. Only called on clean exits — a
-    /// pass that errored mid-component drops its scratch instead, since
-    /// the worklist invariants no longer hold.
-    fn release(mut self, cache: &AnalysisCache) {
+    /// Returns the scratch to the lineage's cache. Only called on clean
+    /// exits — a pass that errored mid-component drops its scratch
+    /// instead, since the worklist invariants no longer hold.
+    fn release(mut self, cache: &mut AnalysisCache) {
         self.ins_buf.clear();
-        cache.put_scratch(self);
+        cache.scratch = Some(self);
     }
 }
 
@@ -458,7 +458,7 @@ impl SolverScratch {
 struct Solver<'a> {
     top: &'a Topology,
     sigs: &'a [NodeSig],
-    cache: &'a AnalysisCache,
+    cache: &'a mut AnalysisCache,
     prev: Option<PrevPass<'a>>,
     dirty: Option<&'a [bool]>,
     hw_next_line: Option<u32>,
@@ -693,7 +693,7 @@ fn run_classify(
     config: &CacheConfig,
     hw_next_line: Option<u32>,
     prev: Option<PrevPass<'_>>,
-    cache: &AnalysisCache,
+    cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
     let n = vivu.len();
     // No-information sentinel for predecessor-less nodes. Cloning it is
@@ -701,13 +701,14 @@ fn run_classify(
     let empty: StatePair = rtpf_cache::no_info(config);
 
     // Adjacency (with back edges) and SCC condensation are identical for
-    // every analysis of the lineage — fetched from the shared cache,
+    // every analysis of the lineage — fetched from the lineage cache,
     // built on the first pass.
     let top = cache.topology(|| build_topology(vivu));
 
     let block_shift = config.block_bytes().trailing_zeros();
     let (sigs, dirty) = node_sigs(p, layout, vivu, block_shift, prev.map(|pv| pv.sigs), cache);
 
+    let ws = SolverScratch::acquire(cache, n, &empty);
     let (outcomes, totals) = Solver {
         top: &top,
         sigs: &sigs,
@@ -716,7 +717,7 @@ fn run_classify(
         dirty: dirty.as_deref(),
         hw_next_line,
         outcomes: (0..n).map(|_| None).collect(),
-        ws: SolverScratch::acquire(cache, n, &empty),
+        ws,
         c: Counters::default(),
     }
     .solve()?;
@@ -789,8 +790,16 @@ mod tests {
         config: &CacheConfig,
         hw_next_line: Option<u32>,
     ) -> ClassifyResult {
-        let cache = AnalysisCache::new();
-        classify_full_cached(p, layout, v, a, config, hw_next_line, &cache).unwrap()
+        classify_full_cached(
+            p,
+            layout,
+            v,
+            a,
+            config,
+            hw_next_line,
+            &mut AnalysisCache::new(),
+        )
+        .unwrap()
     }
 
     fn run(shape: Shape, config: CacheConfig) -> (Program, Acfg, ClassifyResult) {
@@ -972,7 +981,7 @@ mod tests {
                 out_states: &c1.out_states,
                 sigs: &c1.sigs,
             },
-            &AnalysisCache::new(),
+            &mut AnalysisCache::new(),
         )
         .unwrap();
         assert_eq!(inc.class, full.class);
@@ -1003,8 +1012,8 @@ mod tests {
         .compile("sig");
         let layout1 = Layout::of(&p1);
         let v = VivuGraph::build(&p1).unwrap();
-        let cache = AnalysisCache::new();
-        let (sigs1, dirty1) = node_sigs(&p1, &layout1, &v, shift, None, &cache);
+        let mut cache = AnalysisCache::new();
+        let (sigs1, dirty1) = node_sigs(&p1, &layout1, &v, shift, None, &mut cache);
         assert!(dirty1.is_none());
         for (a, b) in v.nodes().iter().zip(&sigs1) {
             for (c, d) in v.nodes().iter().zip(&sigs1) {
@@ -1023,7 +1032,7 @@ mod tests {
         p2.insert_instr(last, 4, InstrKind::Prefetch { target })
             .unwrap();
         let layout2 = Layout::anchored(&p2, anchor, layout1.addr(anchor));
-        let (sigs2, dirty2) = node_sigs(&p2, &layout2, &v, shift, Some(&sigs1), &cache);
+        let (sigs2, dirty2) = node_sigs(&p2, &layout2, &v, shift, Some(&sigs1), &mut cache);
         let dirty2 = dirty2.expect("incremental pass reports dirty bits");
 
         // A block moved iff its sequence of fetched and prefetched memory
@@ -1078,7 +1087,7 @@ mod tests {
                 out_states: &c1.out_states,
                 sigs: &c1.sigs,
             },
-            &AnalysisCache::new(),
+            &mut AnalysisCache::new(),
         )
         .unwrap();
         assert_eq!(inc.nodes_reanalyzed, 0);

@@ -1,16 +1,17 @@
-//! Shared evaluation cache for an analysis lineage.
+//! Evaluation cache for an analysis lineage.
 //!
 //! The optimizer re-analyses near-identical programs dozens of times per
 //! round (one per verification candidate). A node evaluation — join the
 //! predecessors' out-states, walk the node's references classifying and
 //! folding each — is a pure function of the node's *touched-block
 //! signature* and the tuple of input state pairs, so its result can be
-//! memoized and shared across every analysis derived from the same root
-//! ([`WcetAnalysis::reanalyze_after_insert`](crate::WcetAnalysis::reanalyze_after_insert)
-//! passes the cache along). Two candidates that insert at different
-//! anchors diverge only between the two insertion points and for the
-//! short stretch until the cache states forget the difference; everything
-//! else resolves from the memo without touching a state.
+//! memoized and reused by every analysis derived from the same root (the
+//! lineage's owner passes its cache to each
+//! [`WcetAnalysis::reanalyze_after_insert`](crate::WcetAnalysis::reanalyze_after_insert)).
+//! Two candidates that insert at different anchors diverge only between
+//! the two insertion points and for the short stretch until the cache
+//! states forget the difference; everything else resolves from the memo
+//! without touching a state.
 //!
 //! The hot path is the *hit*: a warmed verification pass answers every
 //! node from the memo. Both signatures and out-states are therefore
@@ -26,14 +27,15 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
-use rtpf_cache::{Classification, SharedInterner, StatePair};
+use rtpf_cache::{Classification, StateInterner, StatePair};
 use rtpf_isa::MemBlockId;
 
 use crate::classify::SolverScratch;
 use crate::error::AnalysisError;
 use crate::ipet::IpetGraph;
+use crate::vivu::VivuGraph;
 
 /// A node's touched-block signature: for every reference in program
 /// order, the block it fetches and the block its prefetch targets (if it
@@ -233,68 +235,72 @@ impl Topology {
     }
 }
 
-/// Number of independently locked memo shards. A power of two so the
-/// shard index is a shift of the (well-mixed) key hash.
-const MEMO_SHARDS: usize = 16;
-
-/// Interner + evaluation memo shared by every analysis of one lineage
-/// (same cache configuration, timing, and hardware-prefetch setting).
+/// Interner + evaluation memo of one analysis lineage (one VIVU graph
+/// under one L1 geometry and hardware-prefetch setting), plus the
+/// structures derived only from the lineage's VIVU graph: the fixpoint
+/// topology and the frozen IPET graph, each built on first use.
 ///
-/// Concurrency-safe by sharding, because the cache is shared through
-/// `Arc`s and must be `Sync` (a lineage's analyses themselves run on one
-/// thread): the memo is split into `MEMO_SHARDS` independently locked
-/// maps keyed by the high bits of the evaluation hash, and out-states
-/// intern through a [`SharedInterner`]. Signatures keep one
-/// mutex — they are interned in each pass's setup phase. The structures
-/// that depend only on the lineage's VIVU graph — the fixpoint topology
-/// and the frozen IPET graph — are `OnceLock`s (write-once, lock-free
-/// reads).
+/// A lineage runs on one thread and has one owner: the caller that roots
+/// it ([`WcetAnalysis::analyze_hierarchy_in`](crate::WcetAnalysis::analyze_hierarchy_in))
+/// and passes it to every
+/// [`reanalyze_after_insert`](crate::WcetAnalysis::reanalyze_after_insert)
+/// derived from that root. No analysis holds it, so the memo dies with
+/// its owner — in the optimizer, when `Optimizer::run` returns.
+#[derive(Default)]
 pub struct AnalysisCache {
-    interner: SharedInterner,
-    sigs: Mutex<PreMap<NodeSig>>,
-    memo: [Mutex<PreMap<Entry>>; MEMO_SHARDS],
-    topo: OnceLock<Arc<Topology>>,
-    ipet: OnceLock<IpetGraph>,
-    /// Pool of solver scratch states. A lineage runs thousands of classify
-    /// passes over the same graph; recycling the node-indexed solver
-    /// vectors (and the grown word/merge buffers inside) removes five
-    /// allocations plus their zero-fill from every pass.
-    scratch: Mutex<Vec<SolverScratch>>,
+    /// The VIVU graph of the lineage the cache is bound to (see
+    /// [`AnalysisCache::bind`]); holding it keeps the pointer comparison
+    /// sound.
+    vivu: Option<Arc<VivuGraph>>,
+    interner: StateInterner,
+    sigs: PreMap<NodeSig>,
+    memo: PreMap<Entry>,
+    topo: Option<Arc<Topology>>,
+    ipet: Option<IpetGraph>,
+    /// The solver scratch of the last classify pass. A lineage runs
+    /// thousands of passes over the same graph, one at a time; reusing
+    /// the node-indexed solver vectors (and the grown word/merge buffers
+    /// inside) removes five allocations plus their zero-fill from every
+    /// pass.
+    pub(crate) scratch: Option<SolverScratch>,
 }
 
 impl AnalysisCache {
     pub fn new() -> Self {
-        AnalysisCache {
-            interner: SharedInterner::new(),
-            sigs: Mutex::new(PreMap::default()),
-            memo: std::array::from_fn(|_| Mutex::new(PreMap::default())),
-            topo: OnceLock::new(),
-            ipet: OnceLock::new(),
-            scratch: Mutex::new(Vec::new()),
+        Self::default()
+    }
+
+    /// Binds the cache to the lineage whose VIVU graph is `vivu`. Every
+    /// root analysis builds its own graph and its re-analyses share it by
+    /// pointer, so the pointer names the lineage — and with it the
+    /// geometry and next-line setting that node evaluations depend on
+    /// besides their memo key, and the graph the topology and IPET graph
+    /// describe. A cache bound to another lineage starts over empty, so
+    /// handing a re-analysis the wrong cache costs reuse, never a result.
+    pub(crate) fn bind(&mut self, vivu: &Arc<VivuGraph>) {
+        if !self.vivu.as_ref().is_some_and(|v| Arc::ptr_eq(v, vivu)) {
+            *self = AnalysisCache {
+                vivu: Some(Arc::clone(vivu)),
+                ..AnalysisCache::new()
+            };
         }
     }
 
-    /// The key hash is multiply-mixed, so its high bits spread best.
-    #[inline]
-    fn shard_of(hash: u64) -> usize {
-        (hash >> 60) as usize & (MEMO_SHARDS - 1)
-    }
-
     /// Returns the lineage's fixpoint topology, building it on first use.
-    pub(crate) fn topology(&self, build: impl FnOnce() -> Topology) -> Arc<Topology> {
-        Arc::clone(self.topo.get_or_init(|| Arc::new(build())))
+    pub(crate) fn topology(&mut self, build: impl FnOnce() -> Topology) -> Arc<Topology> {
+        Arc::clone(self.topo.get_or_insert_with(|| Arc::new(build())))
     }
 
     /// Returns the lineage's frozen IPET graph, building it on first use.
     pub(crate) fn ipet_graph(
-        &self,
+        &mut self,
         build: impl FnOnce() -> Result<IpetGraph, AnalysisError>,
     ) -> Result<&IpetGraph, AnalysisError> {
-        if let Some(g) = self.ipet.get() {
-            return Ok(g);
-        }
-        let g = build()?;
-        Ok(self.ipet.get_or_init(|| g))
+        let g = match self.ipet.take() {
+            Some(g) => g,
+            None => build()?,
+        };
+        Ok(self.ipet.insert(g))
     }
 
     /// Returns the canonical `Arc` for a signature, so content-equal
@@ -302,16 +308,15 @@ impl AnalysisCache {
     /// hash) by pointer. Takes a slice and copies only on a miss, so
     /// callers can fill one scratch buffer per pass instead of allocating
     /// a `Vec` per node.
-    pub(crate) fn intern_sig(&self, sig: &[(MemBlockId, Option<MemBlockId>)]) -> NodeSig {
+    pub(crate) fn intern_sig(&mut self, sig: &[(MemBlockId, Option<MemBlockId>)]) -> NodeSig {
         let mut h = sig_hash(sig);
-        let mut sigs = self.sigs.lock().expect("analysis cache poisoned");
         loop {
-            match sigs.get(&h) {
+            match self.sigs.get(&h) {
                 Some(found) if found.as_slice() == sig => return Arc::clone(found),
                 Some(_) => h = h.wrapping_add(1),
                 None => {
                     let arc: NodeSig = Arc::new(sig.to_vec());
-                    sigs.insert(h, Arc::clone(&arc));
+                    self.sigs.insert(h, Arc::clone(&arc));
                     return arc;
                 }
             }
@@ -322,11 +327,8 @@ impl AnalysisCache {
     /// both must be interned (lineage-canonical) pointers.
     pub(crate) fn lookup(&self, sig: &NodeSig, ins: &[Arc<StatePair>]) -> Option<Arc<NodeEval>> {
         let mut h = key_hash(sig, ins);
-        let shard = self.memo[Self::shard_of(h)]
-            .lock()
-            .expect("analysis cache poisoned");
         loop {
-            match shard.get(&h) {
+            match self.memo.get(&h) {
                 Some(e) if e.matches(sig, ins) => return Some(Arc::clone(&e.eval)),
                 Some(_) => h = h.wrapping_add(1),
                 None => return None,
@@ -336,12 +338,11 @@ impl AnalysisCache {
 
     /// Interns `out` (cloning it only if its content is new), registers
     /// the evaluation, and returns the shared record plus whether the
-    /// out-state was a fresh allocation. Two threads racing to store the
-    /// same key compute content-identical evaluations; the first insert
-    /// wins and the loser adopts it, so the memo never grows duplicate
-    /// entries.
+    /// out-state was a fresh allocation. Storing a key that is already
+    /// present returns the existing record, so the memo never grows
+    /// duplicate entries.
     pub(crate) fn store(
-        &self,
+        &mut self,
         sig: &NodeSig,
         ins: &[Arc<StatePair>],
         out: &StatePair,
@@ -349,18 +350,15 @@ impl AnalysisCache {
     ) -> (Arc<NodeEval>, bool) {
         let (out, fresh) = self.interner.intern_ref(out);
         let mut h = key_hash(sig, ins);
-        let mut shard = self.memo[Self::shard_of(h)]
-            .lock()
-            .expect("analysis cache poisoned");
         loop {
-            match shard.get(&h) {
+            match self.memo.get(&h) {
                 Some(e) if e.matches(sig, ins) => return (Arc::clone(&e.eval), fresh),
                 Some(_) => h = h.wrapping_add(1),
                 None => break,
             }
         }
         let eval = Arc::new(NodeEval { out, class });
-        shard.insert(
+        self.memo.insert(
             h,
             Entry {
                 sig: Arc::clone(sig),
@@ -371,31 +369,14 @@ impl AnalysisCache {
         (eval, fresh)
     }
 
-    /// Pops a pooled solver scratch, if any (see
-    /// [`SolverScratch::acquire`]).
-    pub(crate) fn take_scratch(&self) -> Option<SolverScratch> {
-        self.scratch.lock().expect("analysis cache poisoned").pop()
-    }
-
-    /// Returns a clean solver scratch to the pool for the next pass.
-    pub(crate) fn put_scratch(&self, ws: SolverScratch) {
-        self.scratch
-            .lock()
-            .expect("analysis cache poisoned")
-            .push(ws);
-    }
-
     /// Number of memoized node evaluations.
     pub fn len(&self) -> usize {
-        self.memo
-            .iter()
-            .map(|m| m.lock().expect("analysis cache poisoned").len())
-            .sum()
+        self.memo.len()
     }
 
     /// Whether the cache holds no evaluations yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.memo.is_empty()
     }
 }
 
@@ -407,12 +388,6 @@ impl std::fmt::Debug for AnalysisCache {
     }
 }
 
-impl Default for AnalysisCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,7 +396,7 @@ mod tests {
     #[test]
     fn memo_roundtrip_and_ptr_identity() {
         let cfg = CacheConfig::new(2, 16, 256).unwrap();
-        let cache = AnalysisCache::new();
+        let mut cache = AnalysisCache::new();
         let sig = cache.intern_sig(&[(MemBlockId(3), None)]);
         let base = Arc::new((MustState::new(&cfg), MayState::new(&cfg)));
         assert!(cache.lookup(&sig, std::slice::from_ref(&base)).is_none());

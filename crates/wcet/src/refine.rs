@@ -33,8 +33,7 @@ use rtpf_cache::{CacheConfig, Classification, RefineConfig, RefineMark, SetState
 use rtpf_isa::MemBlockId;
 
 use crate::acfg::Acfg;
-use crate::classify::build_topology;
-use crate::memo::{AnalysisCache, MixMap, NodeSig, Topology};
+use crate::memo::{MixMap, NodeSig, Topology};
 use crate::vivu::{NodeId, VivuGraph};
 
 /// Outcome counters of one refinement pass.
@@ -280,7 +279,7 @@ fn explore_set(ctx: &Ctx<'_>, bucket: &Bucket, scratch: &mut Scratch) -> SetOutc
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn refine_classification(
     vivu: &VivuGraph,
-    cache: &AnalysisCache,
+    top: &Topology,
     acfg: &Acfg,
     config: &CacheConfig,
     refine: RefineConfig,
@@ -313,7 +312,6 @@ pub(crate) fn refine_classification(
     }
 
     let n = vivu.len();
-    let top = cache.topology(|| build_topology(vivu));
 
     // Each node's accesses (own block, then prefetch target, per
     // reference), bucketed by targeted set.
@@ -339,7 +337,7 @@ pub(crate) fn refine_classification(
     let ctx = Ctx {
         vivu,
         class,
-        top: &top,
+        top,
         policy: config.policy(),
         assoc: config.assoc(),
         budget: refine.max_states as usize,
@@ -380,6 +378,7 @@ mod tests {
     use rtpf_isa::Layout;
 
     use crate::analysis::WcetAnalysis;
+    use crate::memo::AnalysisCache;
 
     fn analyze(shape: &Shape, policy: ReplacementPolicy, refine: RefineConfig) -> WcetAnalysis {
         analyze_in(shape, policy, refine, CacheConfig::new(2, 16, 256).unwrap())
@@ -568,7 +567,16 @@ mod tests {
             .unwrap();
         let timing = MemTiming::default();
         let p1 = Shape::seq([Shape::code(6), Shape::loop_(8, Shape::code(12))]).compile("ri");
-        let a1 = WcetAnalysis::analyze(&p1, &cfg, &timing).unwrap();
+        let mut lineage = AnalysisCache::new();
+        let a1 = WcetAnalysis::analyze_hierarchy_in(
+            &p1,
+            Layout::of(&p1),
+            &HierarchyConfig::l1_only(cfg),
+            &timing,
+            RefineConfig::default(),
+            &mut lineage,
+        )
+        .unwrap();
 
         let mut p2 = p1.clone();
         let b0 = p2.entry();
@@ -578,7 +586,9 @@ mod tests {
         let anchor = p2.block(b0).instrs()[0];
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
-        let inc = a1.reanalyze_after_insert(&p2, layout2.clone()).unwrap();
+        let inc = a1
+            .reanalyze_after_insert(&p2, layout2.clone(), &mut lineage)
+            .unwrap();
         let full = WcetAnalysis::analyze_hierarchy(
             &p2,
             layout2,

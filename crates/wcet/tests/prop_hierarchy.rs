@@ -16,7 +16,7 @@ use rtpf_cache::{
 };
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisCache, WcetAnalysis};
 
 /// Random structured programs: bounded depth, bounded loop bounds.
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -161,12 +161,14 @@ proptest! {
     ) {
         let t = timing();
         let p1 = shape.compile("prop");
-        let a1 = WcetAnalysis::analyze_hierarchy(
+        let mut lineage = AnalysisCache::new();
+        let a1 = WcetAnalysis::analyze_hierarchy_in(
             &p1,
             Layout::of(&p1),
             &hierarchy,
             &t,
             Default::default(),
+            &mut lineage,
         )
         .expect("base analysis");
 
@@ -181,7 +183,7 @@ proptest! {
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
         let inc = a1
-            .reanalyze_after_insert(&p2, layout2.clone())
+            .reanalyze_after_insert(&p2, layout2.clone(), &mut lineage)
             .expect("incremental analysis");
         let full = WcetAnalysis::analyze_hierarchy(
             &p2,

@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use rtpf_cache::{CacheConfig, HierarchyConfig, MemTiming, RefineConfig};
 use rtpf_isa::shape::Shape;
 use rtpf_isa::{InstrId, InstrKind, Layout, Program};
-use rtpf_wcet::WcetAnalysis;
+use rtpf_wcet::{AnalysisCache, WcetAnalysis};
 
 /// Random structured programs: bounded depth, bounded loop bounds.
 fn shapes() -> impl Strategy<Value = Shape> {
@@ -43,7 +43,16 @@ proptest! {
         let timing = MemTiming::default();
         let p1 = shape.compile("prop");
         let (_, config) = CacheConfig::paper_configs().swap_remove(ki);
-        let a1 = WcetAnalysis::analyze(&p1, &config, &timing).expect("base analysis");
+        let mut lineage = AnalysisCache::new();
+        let a1 = WcetAnalysis::analyze_hierarchy_in(
+            &p1,
+            Layout::of(&p1),
+            &HierarchyConfig::l1_only(config),
+            &timing,
+            RefineConfig::default(),
+            &mut lineage,
+        )
+        .expect("base analysis");
 
         // Insert a prefetch of a random target before a random anchor,
         // relocating exactly like the optimizer does.
@@ -58,7 +67,7 @@ proptest! {
         let layout2 = Layout::anchored(&p2, anchor, a1.layout().addr(anchor));
 
         let inc = a1
-            .reanalyze_after_insert(&p2, layout2.clone())
+            .reanalyze_after_insert(&p2, layout2.clone(), &mut lineage)
             .expect("incremental analysis");
         let full = WcetAnalysis::analyze_hierarchy(
             &p2,
@@ -94,7 +103,16 @@ proptest! {
         let timing = MemTiming::default();
         let mut p = shape.compile("prop");
         let (_, config) = CacheConfig::paper_configs().swap_remove(ki);
-        let mut cur = WcetAnalysis::analyze(&p, &config, &timing).expect("base analysis");
+        let mut lineage = AnalysisCache::new();
+        let mut cur = WcetAnalysis::analyze_hierarchy_in(
+            &p,
+            Layout::of(&p),
+            &HierarchyConfig::l1_only(config),
+            &timing,
+            RefineConfig::default(),
+            &mut lineage,
+        )
+        .expect("base analysis");
         for (anchor_sel, target_sel) in sels {
             let instrs = all_instrs(&p);
             let anchor = instrs[anchor_sel % instrs.len()];
@@ -106,7 +124,7 @@ proptest! {
                 .expect("insertion at an existing position");
             let layout2 = Layout::anchored(&p2, anchor, cur.layout().addr(anchor));
             let inc = cur
-                .reanalyze_after_insert(&p2, layout2.clone())
+                .reanalyze_after_insert(&p2, layout2.clone(), &mut lineage)
                 .expect("incremental analysis");
             let full = WcetAnalysis::analyze_hierarchy(
             &p2,
