@@ -44,13 +44,6 @@ pub enum EngineError {
     Simulate(SimError),
     /// A structural CFG defect outside an analysis run.
     Isa(IsaError),
-    /// An on-disk artifact could not be written.
-    Store {
-        /// The artifact path.
-        path: String,
-        /// The I/O error rendering.
-        error: String,
-    },
 }
 
 impl fmt::Display for EngineError {
@@ -67,9 +60,6 @@ impl fmt::Display for EngineError {
             EngineError::Verify(e) => write!(f, "verification failed: {e}"),
             EngineError::Simulate(e) => write!(f, "simulation failed: {e}"),
             EngineError::Isa(e) => write!(f, "{e}"),
-            EngineError::Store { path, error } => {
-                write!(f, "cannot persist artifact {path}: {error}")
-            }
         }
     }
 }

@@ -12,8 +12,7 @@
 //! contiguous shards, each with its own claim counter, and the worker pool
 //! is split into groups with one home shard apiece. Workers drain their
 //! home shard first and only then steal from the others, so a wide pool
-//! hammering one shared counter (and, downstream, one on-disk store lock
-//! after near-simultaneous claims) turns into independent groups that
+//! hammering one shared counter turns into independent groups that
 //! converge only in the tail.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -6,7 +6,7 @@
 //! [`Engine`] built from one [`EngineConfig`]. Stages are pure functions
 //! over artifact values; the [`ArtifactStore`] memoizes them by content
 //! address (program fingerprint + configuration fingerprint + stage
-//! version), in memory and on disk. See `DESIGN.md` §9 for the stage
+//! version), in memory. See `DESIGN.md` §9 for the stage
 //! graph and the cache-bypass rule the audits rely on.
 
 mod config;

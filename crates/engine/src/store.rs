@@ -8,26 +8,20 @@
 //! [`EngineConfig`](crate::EngineConfig) knobs). Identical keys mean
 //! identical values, so a lookup can replace a recomputation anywhere.
 //!
-//! Two layers, both safe for concurrent use by many engines and — since
-//! the store became the service tier behind `rtpfd` — many requests:
+//! One in-memory tier, safe for concurrent use by many engines and — since
+//! the store became the service tier behind `rtpfd` — many requests: a
+//! *sharded* map of `Arc`ed values (key-hash selects the shard, so
+//! unrelated lookups never contend on one lock), with an optional
+//! LRU-bounded byte budget (see [`StoreConfig::max_bytes`]) and
+//! *single-flight* deduplication in
+//! [`get_or_compute`](ArtifactStore::get_or_compute): identical in-flight
+//! keys coalesce onto one computation instead of racing to redo it.
 //!
-//! * **in-memory** — a *sharded* map of `Arc`ed values (key-hash selects
-//!   the shard, so unrelated lookups never contend on one lock), with an
-//!   optional LRU-bounded byte budget (see [`StoreConfig::max_bytes`])
-//!   and *single-flight* deduplication in
-//!   [`get_or_compute`](ArtifactStore::get_or_compute): identical
-//!   in-flight keys coalesce onto one computation instead of racing to
-//!   redo it;
-//! * **on-disk** — text artifacts stored as `<name>` plus a `<name>.hash`
-//!   sidecar holding the key's hex fingerprint. Writes go through a
-//!   `<name>.lock` lease and a write-to-temp + rename protocol (the
-//!   sidecar lands only after the artifact is durable), so concurrent
-//!   writers and crashes leave *stale-but-detectable* state, never a torn
-//!   artifact under a fresh hash. An artifact whose sidecar is missing or
-//!   names a different key is *stale*: it is treated as absent **and
-//!   deleted**, so stale bytes cannot accumulate under live names.
+//! The store keeps nothing on disk. The one persisted artifact family, the
+//! `results/*.csv` sweeps with their `.hash` sidecars, is written by
+//! `rtpf-experiments` under [`Stage::Sweep`] keys (see `DESIGN.md` §15).
 //!
-//! Every counter the layers maintain is surfaced as a typed
+//! Every counter the tier maintains is surfaced as a typed
 //! [`StoreMetrics`] snapshot (the `rtpfd` `/metrics` endpoint serves its
 //! JSON rendering). The in-memory invariant the counters keep: every
 //! *successful* [`get_or_compute`](ArtifactStore::get_or_compute) call is
@@ -36,12 +30,9 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::fs;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rtpf_core::{OptimizeResult, TheoremReport};
 use rtpf_isa::Program;
@@ -75,22 +66,25 @@ pub enum Stage {
     Energy,
     /// One `(program, configuration)` evaluation row → `UnitResult`.
     Unit,
-    /// The full evaluation grid → CSV text (on-disk layer).
+    /// The full evaluation grid → CSV text. Never held in the store:
+    /// its key is the `.hash` sidecar of a `results/` CSV.
     Sweep,
 }
 
 impl Stage {
     /// Stage version, part of every key. **Bump when the stage's
-    /// algorithm changes observably** so stale on-disk artifacts are
-    /// discarded instead of silently reused.
+    /// algorithm changes observably** so stale `results/` sweeps (whose
+    /// sidecars carry a [`Stage::Sweep`] key) are recomputed instead of
+    /// silently reused.
     pub fn version(self) -> u32 {
         // Latest bump: the multi-level hierarchy (DESIGN.md §14). Every
         // stage that consumes the cache configuration now consumes a
         // hierarchy — per-level classifications feed τ_w and the
         // optimizer, the simulator walks both levels, and the energy
-        // breakdown grew L2 terms — so all of them re-key. (The service
-        // tier refactor of DESIGN.md §15 changed *how* artifacts are
-        // stored, not what any stage computes, so it bumped nothing.)
+        // breakdown grew L2 terms — so all of them re-key. (A change to
+        // *how* artifacts are stored, such as the concurrent tier or the
+        // `results/` sidecar write of DESIGN.md §15, computes nothing
+        // new, so it bumps nothing.)
         match self {
             Stage::Parse => 1,
             Stage::Analyze => 3,
@@ -221,8 +215,6 @@ pub struct StoreConfig {
     /// most-recently-touched entry of a shard is never evicted, so a
     /// single oversized artifact still caches.
     pub max_bytes: Option<u64>,
-    /// Root of the on-disk layer, `None` = in-memory only.
-    pub disk_root: Option<PathBuf>,
 }
 
 impl Default for StoreConfig {
@@ -230,7 +222,6 @@ impl Default for StoreConfig {
         StoreConfig {
             shards: 16,
             max_bytes: None,
-            disk_root: None,
         }
     }
 }
@@ -298,7 +289,7 @@ enum FlightState {
     Poisoned,
 }
 
-/// Counter snapshot of both store layers (see the module docs for the
+/// Counter snapshot of the store (see the module docs for the
 /// reconciliation invariant). Serialized by [`StoreMetrics::to_json`] for
 /// the daemon's `/metrics` endpoint.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -320,12 +311,6 @@ pub struct StoreMetrics {
     pub bytes_in_use: u64,
     /// Current entry count of the hot tier (gauge).
     pub entries: u64,
-    /// On-disk reads served fresh.
-    pub disk_hits: u64,
-    /// On-disk reads that found nothing usable.
-    pub disk_misses: u64,
-    /// Stale artifact/sidecar pairs deleted by reads.
-    pub disk_stale_cleanups: u64,
     /// Wall-clock spent inside `compute` closures (leaders only).
     pub compute_ns: u64,
     /// Wall-clock callers spent parked on another caller's computation.
@@ -345,7 +330,6 @@ impl StoreMetrics {
         format!(
             "{{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
              \"evicted_bytes\": {}, \"bytes_in_use\": {}, \"entries\": {}, \
-             \"disk_hits\": {}, \"disk_misses\": {}, \"disk_stale_cleanups\": {}, \
              \"compute_ms\": {:.3}, \"coalesce_wait_ms\": {:.3}}}",
             self.hits,
             self.misses,
@@ -354,16 +338,13 @@ impl StoreMetrics {
             self.evicted_bytes,
             self.bytes_in_use,
             self.entries,
-            self.disk_hits,
-            self.disk_misses,
-            self.disk_stale_cleanups,
             self.compute_ns as f64 / 1e6,
             self.coalesce_wait_ns as f64 / 1e6,
         )
     }
 }
 
-/// The shared artifact store (see the module docs for the two layers).
+/// The shared artifact store (see the module docs).
 pub struct ArtifactStore {
     shards: Vec<Mutex<ShardMap>>,
     /// Per-shard byte budget (`max_bytes / shards`), `None` = unbounded.
@@ -375,12 +356,8 @@ pub struct ArtifactStore {
     coalesced: AtomicU64,
     evictions: AtomicU64,
     evicted_bytes: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    disk_stale_cleanups: AtomicU64,
     compute_ns: AtomicU64,
     coalesce_wait_ns: AtomicU64,
-    disk_root: Option<PathBuf>,
 }
 
 impl std::fmt::Debug for ArtifactStore {
@@ -388,7 +365,6 @@ impl std::fmt::Debug for ArtifactStore {
         f.debug_struct("ArtifactStore")
             .field("shards", &self.shards.len())
             .field("shard_budget", &self.shard_budget)
-            .field("disk_root", &self.disk_root)
             .field("metrics", &self.metrics())
             .finish()
     }
@@ -401,17 +377,9 @@ impl Default for ArtifactStore {
 }
 
 impl ArtifactStore {
-    /// A store with only the (unbounded) in-memory layer.
+    /// An unbounded store with the default shard count.
     pub fn in_memory() -> ArtifactStore {
         ArtifactStore::default()
-    }
-
-    /// A store whose on-disk layer lives under `root`.
-    pub fn with_disk(root: impl Into<PathBuf>) -> ArtifactStore {
-        ArtifactStore::with_config(StoreConfig {
-            disk_root: Some(root.into()),
-            ..StoreConfig::default()
-        })
     }
 
     /// A store with explicit tier configuration (the daemon's route).
@@ -431,12 +399,8 @@ impl ArtifactStore {
             coalesced: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk_misses: AtomicU64::new(0),
-            disk_stale_cleanups: AtomicU64::new(0),
             compute_ns: AtomicU64::new(0),
             coalesce_wait_ns: AtomicU64::new(0),
-            disk_root: config.disk_root,
         }
     }
 
@@ -458,7 +422,7 @@ impl ArtifactStore {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Typed counter snapshot of both layers (gauges summed over shards).
+    /// Typed counter snapshot (gauges summed over shards).
     pub fn metrics(&self) -> StoreMetrics {
         let (mut bytes, mut entries) = (0u64, 0u64);
         for shard in &self.shards {
@@ -474,9 +438,6 @@ impl ArtifactStore {
             evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
             bytes_in_use: bytes,
             entries,
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            disk_stale_cleanups: self.disk_stale_cleanups.load(Ordering::Relaxed),
             compute_ns: self.compute_ns.load(Ordering::Relaxed),
             coalesce_wait_ns: self.coalesce_wait_ns.load(Ordering::Relaxed),
         }
@@ -670,159 +631,6 @@ impl ArtifactStore {
             }
         }
     }
-
-    /// Path of an on-disk artifact, when the disk layer is configured.
-    pub fn disk_path(&self, name: &str) -> Option<PathBuf> {
-        self.disk_root.as_ref().map(|r| r.join(name))
-    }
-
-    /// Reads the on-disk artifact `name` **iff** its `.hash` sidecar names
-    /// exactly `key`. Anything else — missing, unreadable, or mismatching
-    /// sidecar, or an artifact the sidecar no longer describes — means the
-    /// artifact is stale (produced by other inputs or an older stage
-    /// version): it yields `None` **and the stale pair is deleted**, so
-    /// the next write starts from clean state and stale bytes cannot
-    /// shadow live names. (A reader racing a writer between the two
-    /// rename steps may delete the writer's fresh artifact; the result is
-    /// a detectable-stale state the next request recomputes, never a torn
-    /// artifact under a fresh hash.)
-    pub fn disk_get(&self, name: &str, key: ArtifactKey) -> Option<String> {
-        let path = self.disk_path(name)?;
-        let sidecar = sidecar_path(&path);
-        let recorded = fs::read_to_string(&sidecar)
-            .ok()
-            .and_then(|s| Fingerprint::from_hex(&s));
-        if recorded == Some(key.content) {
-            if let Ok(text) = fs::read_to_string(&path) {
-                self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(text);
-            }
-        }
-        // Stale (or half-written) state: remove whatever half exists.
-        let removed_artifact = fs::remove_file(&path).is_ok();
-        let removed_sidecar = fs::remove_file(&sidecar).is_ok();
-        if removed_artifact || removed_sidecar {
-            self.disk_stale_cleanups.fetch_add(1, Ordering::Relaxed);
-        }
-        self.disk_misses.fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    /// Writes the on-disk artifact `name` and its `.hash` sidecar.
-    ///
-    /// Safe for multiple concurrent writers: the write happens under a
-    /// `<name>.lock` lease (stale leases are stolen after
-    /// `LEASE_TTL`), each file lands via write-to-temp + fsync +
-    /// rename, and the sidecar is renamed in only after the artifact is
-    /// durable. A crash at any point leaves either the old pair, a fresh
-    /// artifact with no/old sidecar (detectable stale), or the fresh
-    /// pair — never a torn artifact under a fresh hash.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the disk layer is absent, the lease cannot be acquired
-    /// within `LEASE_ACQUIRE_TIMEOUT`, or a filesystem write fails.
-    pub fn disk_put(&self, name: &str, key: ArtifactKey, text: &str) -> Result<(), EngineError> {
-        let path = self.disk_path(name).ok_or_else(|| EngineError::Store {
-            path: name.to_string(),
-            error: "store has no on-disk layer".to_string(),
-        })?;
-        let io = |e: std::io::Error| EngineError::Store {
-            path: path.display().to_string(),
-            error: e.to_string(),
-        };
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).map_err(io)?;
-        }
-        let _lease = DiskLease::acquire(&path)?;
-        write_durable(&path, text.as_bytes()).map_err(io)?;
-        write_durable(&sidecar_path(&path), key.content.hex().as_bytes()).map_err(io)?;
-        Ok(())
-    }
-}
-
-/// Writes `bytes` to `path` atomically: temp sibling, fsync, rename.
-fn write_durable(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = PathBuf::from(tmp);
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, path)
-}
-
-/// How long a `<name>.lock` lease may sit before other writers steal it
-/// (covers writers that died mid-write).
-pub const LEASE_TTL: Duration = Duration::from_secs(10);
-/// How long a writer waits for the lease before giving up.
-pub const LEASE_ACQUIRE_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// An exclusive on-disk write lease: a `<name>.lock` file created with
-/// `create_new` (atomic on POSIX and NTFS alike), removed on drop. A
-/// lease older than `LEASE_TTL` is presumed abandoned and stolen.
-struct DiskLease {
-    path: PathBuf,
-}
-
-impl DiskLease {
-    fn acquire(target: &Path) -> Result<DiskLease, EngineError> {
-        let mut p = target.as_os_str().to_os_string();
-        p.push(".lock");
-        let path = PathBuf::from(p);
-        let deadline = Instant::now() + LEASE_ACQUIRE_TIMEOUT;
-        loop {
-            match fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", std::process::id());
-                    return Ok(DiskLease { path });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| t.elapsed().ok())
-                        .is_some_and(|age| age > LEASE_TTL);
-                    if stale {
-                        // Two stealers may race the removal; the loser's
-                        // remove fails or removes the winner's fresh
-                        // lease — either way both loop back to create_new
-                        // and exactly one wins it.
-                        let _ = fs::remove_file(&path);
-                        continue;
-                    }
-                    if Instant::now() >= deadline {
-                        return Err(EngineError::Store {
-                            path: target.display().to_string(),
-                            error: format!(
-                                "could not acquire write lease {} within {:?}",
-                                path.display(),
-                                LEASE_ACQUIRE_TIMEOUT
-                            ),
-                        });
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => {
-                    return Err(EngineError::Store {
-                        path: path.display().to_string(),
-                        error: e.to_string(),
-                    })
-                }
-            }
-        }
-    }
-}
-
-impl Drop for DiskLease {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
-    }
 }
 
 /// Publishes a flight outcome exactly once; on unwind without
@@ -863,12 +671,6 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
-fn sidecar_path(path: &Path) -> PathBuf {
-    let mut s = path.as_os_str().to_os_string();
-    s.push(".hash");
-    PathBuf::from(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -905,13 +707,13 @@ mod tests {
         let k = key(9);
         let err = store
             .get_or_compute::<u64>(k, || {
-                Err(EngineError::Store {
+                Err(EngineError::Read {
                     path: "x".into(),
                     error: "boom".into(),
                 })
             })
             .expect_err("propagates");
-        assert!(matches!(err, EngineError::Store { .. }));
+        assert!(matches!(err, EngineError::Read { .. }));
         assert!(store.get::<u64>(k).is_none(), "failures are not stored");
         assert_eq!(store.misses(), 1);
         let v = store.get_or_compute(k, || Ok(5u64)).expect("recovers");
@@ -926,7 +728,6 @@ mod tests {
         let store = ArtifactStore::with_config(StoreConfig {
             shards: 1,
             max_bytes: Some(3 * 104),
-            disk_root: None,
         });
         for n in 0..3 {
             store.put(key(n), n);
@@ -951,7 +752,6 @@ mod tests {
         let store = ArtifactStore::with_config(StoreConfig {
             shards: 1,
             max_bytes: Some(16),
-            disk_root: None,
         });
         store.put(key(1), 1u64);
         assert!(
@@ -973,66 +773,5 @@ mod tests {
         let after = store.metrics().bytes_in_use;
         assert!(after < before, "replacement must not leak accounting");
         assert_eq!(store.metrics().entries, 1);
-    }
-
-    #[test]
-    fn disk_layer_rejects_and_deletes_stale_state() {
-        let dir = std::env::temp_dir().join(format!("rtpf-store-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = ArtifactStore::with_disk(&dir);
-        let k = key(3);
-        assert!(store.disk_get("a.csv", k).is_none());
-        store.disk_put("a.csv", k, "payload").expect("writes");
-        assert_eq!(store.disk_get("a.csv", k).as_deref(), Some("payload"));
-        assert_eq!(store.metrics().disk_hits, 1);
-        // No temp or lock residue from the atomic write protocol.
-        let residue: Vec<_> = fs::read_dir(&dir)
-            .expect("reads dir")
-            .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
-            .filter(|n| n.contains(".tmp.") || n.ends_with(".lock"))
-            .collect();
-        assert!(residue.is_empty(), "left residue: {residue:?}");
-
-        // Another key — the stale artifact is treated as absent AND the
-        // pair is deleted so it cannot shadow the name.
-        assert!(store.disk_get("a.csv", key(4)).is_none());
-        assert_eq!(store.metrics().disk_stale_cleanups, 1);
-        assert!(!dir.join("a.csv").exists(), "stale artifact deleted");
-        assert!(!dir.join("a.csv.hash").exists(), "stale sidecar deleted");
-
-        // Corrupt sidecar next to a fresh artifact: same cleanup.
-        store.disk_put("a.csv", k, "payload").expect("writes");
-        fs::write(dir.join("a.csv.hash"), "not-a-hash").expect("writes");
-        assert!(store.disk_get("a.csv", k).is_none());
-        assert!(!dir.join("a.csv").exists());
-        assert!(!dir.join("a.csv.hash").exists());
-
-        // Orphan artifact (crash between artifact and sidecar rename):
-        // detectably stale, removed on read.
-        fs::write(dir.join("b.csv"), "half-written").expect("writes");
-        assert!(store.disk_get("b.csv", k).is_none());
-        assert!(!dir.join("b.csv").exists(), "orphan artifact deleted");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn an_abandoned_lease_is_stolen() {
-        let dir = std::env::temp_dir().join(format!("rtpf-lease-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        let store = ArtifactStore::with_disk(&dir);
-        let lock = dir.join("a.csv.lock");
-        fs::write(&lock, "stale-writer").expect("writes");
-        // Age the lease past the TTL.
-        let old = std::time::SystemTime::now() - (LEASE_TTL + Duration::from_secs(1));
-        let f = fs::File::options().write(true).open(&lock).expect("opens");
-        f.set_modified(old).expect("sets mtime");
-        drop(f);
-        store
-            .disk_put("a.csv", key(3), "payload")
-            .expect("steals lease");
-        assert_eq!(store.disk_get("a.csv", key(3)).as_deref(), Some("payload"));
-        assert!(!lock.exists(), "lease released after the write");
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -66,21 +66,11 @@ fn main() {
         }
         std::process::exit(1);
     }
-    let store = rtpf_experiments::results_store();
-    store
-        .disk_put(
-            "precision.csv",
-            rtpf_experiments::precision_artifact_key(),
-            &rtpf_experiments::precision_to_csv(&rows),
-        )
-        .expect("persist precision artifact");
+    let path = rtpf_experiments::persist_precision(&rows);
     println!(
         "precision audit complete in {:.1}s: {}{}",
         t0.elapsed().as_secs_f64(),
-        store
-            .disk_path("precision.csv")
-            .expect("store has a disk layer")
-            .display(),
+        path.display(),
         if check { " (record check passed)" } else { "" }
     );
 }

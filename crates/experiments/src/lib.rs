@@ -17,6 +17,9 @@
 //! fingerprint and the unit-stage version). A CSV whose sidecar is
 //! missing or names a different address is stale and recomputed — the old
 //! row-count-only acceptance silently reused caches written by older code.
+//! The sidecar protocol is this crate's own: two private functions read a
+//! CSV only under its key and write a new pair sidecar-last, each file
+//! through a temporary sibling and a rename (`DESIGN.md` §15).
 //!
 //! The per-figure binaries (`fig3`, `fig4`, `fig5`, `fig7`, `fig8`,
 //! `table1`, `table2`) reuse the artifact so each figure regenerates
@@ -25,10 +28,13 @@
 
 #![forbid(unsafe_code)]
 
+use std::fs;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtpf_cache::{CacheConfig, ReplacementPolicy};
-use rtpf_engine::{ArtifactKey, ArtifactStore, Engine, EngineConfig, Grid};
+use rtpf_engine::{ArtifactKey, Engine, EngineConfig, Fingerprint, Grid};
 use rtpf_isa::Program;
 
 pub use rtpf_engine::{parse_csv, to_csv, Gated, UnitResult, COLUMNS};
@@ -80,14 +86,98 @@ pub fn cache_path() -> PathBuf {
 
 /// [`cache_path`], for any replacement policy.
 pub fn cache_path_for(policy: ReplacementPolicy) -> PathBuf {
-    results_store()
-        .disk_path(&sweep_artifact_name(policy))
-        .expect("store has a disk layer")
+    results_dir().join(sweep_artifact_name(policy))
 }
 
-/// The artifact store rooted at the repository's `results/` directory.
-pub fn results_store() -> ArtifactStore {
-    ArtifactStore::with_disk(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
+/// The repository's `results/` directory.
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
+
+/// Reads `<dir>/<name>` **iff** its `<name>.hash` sidecar parses to `key`.
+/// A missing, unreadable or mismatching sidecar means the CSV is stale
+/// (written by other inputs or an older stage version) and yields `None`.
+/// Nothing is deleted: the next [`write_artifact`] replaces both files.
+fn read_artifact(dir: &Path, name: &str, key: ArtifactKey) -> Option<String> {
+    let recorded = fs::read_to_string(dir.join(format!("{name}.hash"))).ok()?;
+    if Fingerprint::from_hex(&recorded)? != key.content {
+        return None;
+    }
+    fs::read_to_string(dir.join(name)).ok()
+}
+
+/// Writes `<dir>/<name>` and its `<name>.hash` sidecar naming `key`, in
+/// this order: remove the old sidecar, land the CSV, land the new sidecar.
+/// Each file lands durably through a temporary sibling, an fsync and a
+/// rename. A failure or crash at any point therefore leaves either no
+/// sidecar (stale under every key) or the new pair, never new bytes under
+/// an old key that an older checkout would accept.
+///
+/// No lock is needed. For one file name the key is a function of the
+/// checked-out code, and the bytes are a function of the key, so
+/// concurrent writers in one checkout write identical bytes and the last
+/// rename to land wins harmlessly. Temporary names are unique per write
+/// (pid plus a process-wide counter), so two writers never share one.
+///
+/// # Errors
+///
+/// Propagates the first filesystem error.
+fn write_artifact(dir: &Path, name: &str, key: ArtifactKey, text: &str) -> io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let sidecar = format!("{name}.hash");
+    match fs::remove_file(dir.join(&sidecar)) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+        _ => {}
+    }
+    write_durable(dir, name, text.as_bytes())?;
+    write_durable(dir, &sidecar, key.content.hex().as_bytes())
+}
+
+/// Writes `bytes` to `<dir>/<name>` atomically: unique temp sibling,
+/// fsync, rename. The temp file is removed if any step fails.
+fn write_durable(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let n = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!("{name}.tmp.{}.{n}", std::process::id()));
+    let landed = fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(bytes)?;
+            f.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, dir.join(name)));
+    if landed.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    landed
+}
+
+/// The one load-or-compute path of the `results/` artifacts: returns the
+/// rows of `<dir>/<name>` when its sidecar names `key` and `parse` yields
+/// exactly `expected` rows; otherwise runs `compute`, persists its rows
+/// through `render` under `key`, and returns them.
+fn load_or_compute<R>(
+    dir: &Path,
+    name: &str,
+    key: ArtifactKey,
+    expected: usize,
+    parse: impl FnOnce(&str) -> Result<Vec<R>, String>,
+    render: impl FnOnce(&[R]) -> String,
+    compute: impl FnOnce() -> Vec<R>,
+) -> Vec<R> {
+    if let Some(text) = read_artifact(dir, name, key) {
+        match parse(&text) {
+            Ok(rows) if rows.len() == expected => return rows,
+            Ok(rows) => eprintln!(
+                "{name} has {} rows (expected {expected}), recomputing",
+                rows.len()
+            ),
+            Err(e) => eprintln!("corrupt {name} ({e}), recomputing"),
+        }
+    }
+    let rows = compute();
+    write_artifact(dir, name, key, &render(&rows))
+        .unwrap_or_else(|e| panic!("persist {name}: {e}"));
+    rows
 }
 
 /// The Table 2 configurations under `policy` (the paper's grid is pure
@@ -131,32 +221,6 @@ pub fn sweep_artifact_key_for(policy: ReplacementPolicy) -> ArtifactKey {
     )
 }
 
-/// Loads the named sweep artifact from `store` iff it is fresh under
-/// `key` and parses to the expected row count.
-fn load_sweep_named(
-    store: &ArtifactStore,
-    name: &str,
-    key: ArtifactKey,
-    expected_rows: usize,
-) -> Option<Vec<UnitResult>> {
-    let text = store.disk_get(name, key)?;
-    match parse_csv(&text) {
-        Ok(rows) if rows.len() == expected_rows => Some(rows),
-        Ok(rows) => {
-            eprintln!(
-                "sweep artifact has {} rows (expected {expected_rows}), recomputing",
-                rows.len()
-            );
-            None
-        }
-        Err(e) => {
-            debug_assert!(false, "corrupt sweep artifact: {e}");
-            eprintln!("corrupt sweep artifact ({e}), recomputing");
-            None
-        }
-    }
-}
-
 /// Runs (or loads) the full 37 × 36 sweep under LRU, the paper's policy.
 ///
 /// The cached CSV is accepted only when its `.hash` sidecar names the
@@ -170,17 +234,15 @@ pub fn sweep() -> Vec<UnitResult> {
 /// [`sweep`], for any replacement policy. Each policy persists to its own
 /// artifact (see [`sweep_artifact_name`]) under its own content address.
 pub fn sweep_for(policy: ReplacementPolicy) -> Vec<UnitResult> {
-    let store = results_store();
-    let key = sweep_artifact_key_for(policy);
-    let name = sweep_artifact_name(policy);
-    if let Some(rows) = load_sweep_named(&store, &name, key, 37 * 36) {
-        return rows;
-    }
-    let results = run_sweep_for(policy);
-    store
-        .disk_put(&name, key, &to_csv(&results))
-        .expect("persist sweep artifact");
-    results
+    load_or_compute(
+        &results_dir(),
+        &sweep_artifact_name(policy),
+        sweep_artifact_key_for(policy),
+        37 * 36,
+        parse_csv,
+        to_csv,
+        || run_sweep_for(policy),
+    )
 }
 
 /// Worker groups the evaluation grids run under: one shard per four
@@ -261,9 +323,7 @@ pub const L2_SWEEP_NAME: &str = "sweep-l2.csv";
 
 /// Location of the on-disk L2 sweep artifact (`.hash` sidecar beside it).
 pub fn l2_cache_path() -> PathBuf {
-    results_store()
-        .disk_path(L2_SWEEP_NAME)
-        .expect("store has a disk layer")
+    results_dir().join(L2_SWEEP_NAME)
 }
 
 /// Content address of the L2 sweep: every program fingerprint × every
@@ -345,24 +405,15 @@ pub fn parse_l2_csv(text: &str) -> Result<Vec<L2Row>, String> {
 /// [`l2_sweep_points`] axis, persisted as `results/sweep-l2.csv` under
 /// its content address.
 pub fn l2_sweep() -> Vec<L2Row> {
-    let store = results_store();
-    let key = l2_sweep_artifact_key();
-    let expected = rtpf_suite::catalog().len() * l2_sweep_points().len();
-    if let Some(text) = store.disk_get(L2_SWEEP_NAME, key) {
-        match parse_l2_csv(&text) {
-            Ok(rows) if rows.len() == expected => return rows,
-            Ok(rows) => eprintln!(
-                "L2 sweep artifact has {} rows (expected {expected}), recomputing",
-                rows.len()
-            ),
-            Err(e) => eprintln!("corrupt L2 sweep artifact ({e}), recomputing"),
-        }
-    }
-    let rows = run_l2_sweep();
-    store
-        .disk_put(L2_SWEEP_NAME, key, &l2_to_csv(&rows))
-        .expect("persist L2 sweep artifact");
-    rows
+    load_or_compute(
+        &results_dir(),
+        L2_SWEEP_NAME,
+        l2_sweep_artifact_key(),
+        rtpf_suite::catalog().len() * l2_sweep_points().len(),
+        parse_l2_csv,
+        l2_to_csv,
+        run_l2_sweep,
+    )
 }
 
 /// Computes the L2 sweep from scratch on the engine's work-stealing grid.
@@ -525,6 +576,21 @@ pub fn precision_artifact_key() -> ArtifactKey {
     )
 }
 
+/// Persists `rows` as `results/precision.csv` under
+/// [`precision_artifact_key`] and returns the CSV's path.
+pub fn persist_precision(rows: &[PolicyPrecision]) -> PathBuf {
+    let dir = results_dir();
+    let name = "precision.csv";
+    write_artifact(
+        &dir,
+        name,
+        precision_artifact_key(),
+        &precision_to_csv(rows),
+    )
+    .unwrap_or_else(|e| panic!("persist {name}: {e}"));
+    dir.join(name)
+}
+
 /// Paper Table 2 capacities, used as Figure 3/4/5 x-axes.
 pub const CAPACITIES: [u32; 6] = [256, 512, 1024, 2048, 4096, 8192];
 
@@ -648,77 +714,157 @@ mod tests {
         assert_eq!(cache_path(), cache_path_for(ReplacementPolicy::Lru));
     }
 
+    /// A fresh scratch directory for one test.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rtpf-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    /// Temporary siblings left behind in `dir`.
+    fn tmp_residue(dir: &Path) -> Vec<String> {
+        fs::read_dir(dir)
+            .expect("reads dir")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf8"))
+            .filter(|n| n.contains(".tmp."))
+            .collect()
+    }
+
+    fn bs_row() -> UnitResult {
+        let b = rtpf_suite::by_name("bs").unwrap();
+        run_unit(
+            "bs",
+            &b.program,
+            "k2",
+            EngineConfig::geometry(2, 16, 256).unwrap(),
+        )
+    }
+
+    /// [`load_or_compute`] over one-row sweep CSVs, reporting whether it
+    /// had to compute.
+    fn load_one(
+        dir: &Path,
+        name: &str,
+        key: ArtifactKey,
+        row: &UnitResult,
+    ) -> (Vec<UnitResult>, bool) {
+        let mut computed = false;
+        let rows = load_or_compute(dir, name, key, 1, parse_csv, to_csv, || {
+            computed = true;
+            vec![row.clone()]
+        });
+        (rows, computed)
+    }
+
     #[test]
     fn a_sweep_csv_copied_across_policies_is_rejected() {
         // Concretely exercise the cross-policy isolation: persist a row
         // under the FIFO key, then ask for it under the PLRU key (same
         // file name) — the sidecar mismatch must force a recompute.
-        let dir = std::env::temp_dir().join(format!("rtpf-sweep-xpolicy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::with_disk(&dir);
-        let b = rtpf_suite::by_name("bs").unwrap();
-        let row = run_unit(
-            "bs",
-            &b.program,
-            "k2",
-            EngineConfig::geometry(2, 16, 256).unwrap(),
-        );
+        let dir = scratch("sweep-xpolicy");
+        let row = bs_row();
         let payload = to_csv(std::slice::from_ref(&row));
-        store
-            .disk_put(
-                "sweep-x.csv",
-                sweep_artifact_key_for(ReplacementPolicy::Fifo),
-                &payload,
-            )
-            .expect("writes");
+        let fifo = sweep_artifact_key_for(ReplacementPolicy::Fifo);
+        let plru = sweep_artifact_key_for(ReplacementPolicy::Plru);
+        write_artifact(&dir, "sweep-x.csv", fifo, &payload).expect("writes");
+        assert_eq!(read_artifact(&dir, "sweep-x.csv", fifo), Some(payload));
         assert!(
-            load_sweep_named(
-                &store,
-                "sweep-x.csv",
-                sweep_artifact_key_for(ReplacementPolicy::Plru),
-                1
-            )
-            .is_none(),
+            read_artifact(&dir, "sweep-x.csv", plru).is_none(),
             "a FIFO sweep artifact must never satisfy a PLRU request"
         );
-        let _ = std::fs::remove_dir_all(&dir);
+        let (_, computed) = load_one(&dir, "sweep-x.csv", plru, &row);
+        assert!(computed, "the PLRU request recomputes");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_sweep_artifact_is_discarded() {
-        // A payload persisted under a *different* key (e.g. written by an
-        // older stage version or other configuration fingerprints) must be
-        // treated as absent — this is the invalidation the old
-        // row-count-only check missed.
-        let dir = std::env::temp_dir().join(format!("rtpf-sweep-stale-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = ArtifactStore::with_disk(&dir);
+        // A payload under a *different* key (e.g. written by an older
+        // stage version or other configuration fingerprints), under a
+        // corrupt sidecar, or under no sidecar at all (an orphan CSV) must
+        // be treated as absent — this is the invalidation the old
+        // row-count-only check missed. Each case recomputes and leaves a
+        // fresh pair that the next load serves without computing.
+        let dir = scratch("sweep-stale");
         let key = sweep_artifact_key();
         let stale = ArtifactKey::new(
             rtpf_engine::Stage::Sweep,
             &[rtpf_engine::Fingerprint(0xdead, 0xbeef)],
         );
-        let b = rtpf_suite::by_name("bs").unwrap();
-        let row = run_unit(
-            "bs",
-            &b.program,
-            "k2",
-            EngineConfig::geometry(2, 16, 256).unwrap(),
-        );
+        let row = bs_row();
         let payload = to_csv(std::slice::from_ref(&row));
-        store
-            .disk_put("sweep.csv", stale, &payload)
-            .expect("writes");
-        assert!(
-            load_sweep_named(&store, "sweep.csv", key, 1).is_none(),
-            "stale-hash artifact must be discarded"
-        );
-        // Re-persisted under the current key, the same payload is served.
-        store.disk_put("sweep.csv", key, &payload).expect("writes");
-        assert_eq!(
-            load_sweep_named(&store, "sweep.csv", key, 1),
-            Some(vec![row])
-        );
-        let _ = std::fs::remove_dir_all(&dir);
+        let sidecar = dir.join("sweep.csv.hash");
+        let cases: [(&str, &dyn Fn()); 3] = [
+            ("stale key", &|| {
+                write_artifact(&dir, "sweep.csv", stale, &payload).expect("writes")
+            }),
+            ("corrupt sidecar", &|| {
+                write_artifact(&dir, "sweep.csv", key, &payload).expect("writes");
+                fs::write(&sidecar, "not-a-hash").expect("writes");
+            }),
+            ("orphan CSV", &|| {
+                write_artifact(&dir, "sweep.csv", key, &payload).expect("writes");
+                fs::remove_file(&sidecar).expect("removes");
+            }),
+        ];
+        for (case, setup) in cases {
+            setup();
+            assert!(read_artifact(&dir, "sweep.csv", key).is_none(), "{case}");
+            let (rows, computed) = load_one(&dir, "sweep.csv", key, &row);
+            assert!(computed, "{case}: must recompute");
+            assert_eq!(rows, vec![row.clone()]);
+            let (rows, computed) = load_one(&dir, "sweep.csv", key, &row);
+            assert!(!computed, "{case}: the re-persisted pair is served");
+            assert_eq!(rows, vec![row.clone()]);
+            assert_eq!(
+                fs::read_to_string(&sidecar).expect("sidecar"),
+                key.content.hex()
+            );
+        }
+        assert!(tmp_residue(&dir).is_empty(), "{:?}", tmp_residue(&dir));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_sidecar_for_the_old_key() {
+        // The sidecar of the old pair goes first: if landing the new CSV
+        // fails (here `<name>` is a non-empty directory, so the rename
+        // cannot replace it), no sidecar is left that an older checkout
+        // holding the old key would accept.
+        let dir = scratch("sweep-crash");
+        let k1 = ArtifactKey::new(rtpf_engine::Stage::Sweep, &[Fingerprint(1, 1)]);
+        let k2 = ArtifactKey::new(rtpf_engine::Stage::Sweep, &[Fingerprint(2, 2)]);
+        fs::create_dir_all(dir.join("a.csv")).expect("mkdir");
+        fs::write(dir.join("a.csv").join("keep"), "x").expect("writes");
+        fs::write(dir.join("a.csv.hash"), k1.content.hex()).expect("writes");
+        assert!(write_artifact(&dir, "a.csv", k2, "payload").is_err());
+        assert!(!dir.join("a.csv.hash").exists(), "no sidecar may survive");
+        assert!(read_artifact(&dir, "a.csv", k1).is_none());
+        assert!(read_artifact(&dir, "a.csv", k2).is_none());
+        assert!(tmp_residue(&dir).is_empty(), "{:?}", tmp_residue(&dir));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_same_key_writers_all_succeed() {
+        // Writers of one name in one checkout carry one key and one
+        // payload; they need no lock, only distinct temporary names.
+        const WRITERS: usize = 8;
+        let dir = scratch("sweep-hammer");
+        let key = ArtifactKey::new(rtpf_engine::Stage::Sweep, &[Fingerprint(7, 7)]);
+        let payload = "policy,analyses\nlru,1332\n".repeat(64);
+        let barrier = std::sync::Barrier::new(WRITERS);
+        std::thread::scope(|s| {
+            for _ in 0..WRITERS {
+                s.spawn(|| {
+                    barrier.wait();
+                    write_artifact(&dir, "same.csv", key, &payload).expect("writes");
+                });
+            }
+        });
+        assert_eq!(read_artifact(&dir, "same.csv", key), Some(payload));
+        assert!(tmp_residue(&dir).is_empty(), "{:?}", tmp_residue(&dir));
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -23,7 +23,7 @@
 //! benchmark is `perfbench`'s `serve` workload (`BENCHMARK.json`).
 //!
 //! DESIGN.md §15 documents the architecture: store shards, single-flight
-//! protocol, LRU byte bounds, the on-disk lease, and the drain sequence.
+//! protocol, LRU byte bounds, and the drain sequence.
 //!
 //! [`ServiceCore`]: rtpf_engine::ServiceCore
 //! [`ArtifactStore`]: rtpf_engine::ArtifactStore

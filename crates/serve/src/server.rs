@@ -47,9 +47,8 @@ pub struct DaemonConfig {
     /// Bound of the accepted-connection queue (beyond the workers'
     /// in-flight connections); a full queue answers `503`.
     pub queue: usize,
-    /// Artifact-store tier configuration (shards, byte budget). The
-    /// daemon's artifacts have no text form, so no flag sets the disk
-    /// root.
+    /// Artifact-store configuration (shards, byte budget). The store is
+    /// in memory only; the daemon persists nothing.
     pub store: StoreConfig,
 }
 

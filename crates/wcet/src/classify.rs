@@ -31,9 +31,11 @@
 //!
 //! # Incremental re-analysis
 //!
-//! [`classify_incremental`] re-runs the fixpoint after a program edit that
-//! preserves the CFG (prefetch insertion never adds blocks or edges). The
-//! solver evaluates the SCCs of the dataflow graph in condensation order,
+//! `classify_incremental` re-runs the fixpoint after a program edit that
+//! preserves the CFG (prefetch insertion never adds blocks or edges). It
+//! is crate-private: its one caller is
+//! [`WcetAnalysis::reanalyze_after_insert`](crate::WcetAnalysis::reanalyze_after_insert),
+//! which binds the lineage cache to the program first. The solver evaluates the SCCs of the dataflow graph in condensation order,
 //! which makes an exact change-driven cutoff possible:
 //!
 //! * an SCC is **recomputed** (from the same ⊤/⊥ start a from-scratch run
@@ -105,7 +107,7 @@ pub struct ClassifyResult {
 /// on; reference ids are matched positionally per node, which is valid
 /// because prefetch insertion preserves the VIVU node set.
 #[derive(Clone, Copy)]
-pub struct PrevPass<'a> {
+pub(crate) struct PrevPass<'a> {
     pub acfg: &'a Acfg,
     pub class: &'a [Classification],
     pub mem_block: &'a [MemBlockId],
@@ -145,7 +147,7 @@ pub(crate) fn classify_full_cached(
 /// lineage's evaluation cache. Produces results
 /// identical to a from-scratch classification of the new program.
 #[allow(clippy::too_many_arguments)]
-pub fn classify_incremental(
+pub(crate) fn classify_incremental(
     p: &Program,
     layout: &Layout,
     vivu: &VivuGraph,
