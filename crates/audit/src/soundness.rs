@@ -515,7 +515,7 @@ fn compare(
                                  observed executions",
                                 rf.instr, node.block, node.ctx
                             ),
-                            Some("a persistence or first-miss analysis could classify this".into()),
+                            None,
                         );
                     }
                 } else if h == 0 && mark == RefineMark::Examined {

@@ -1,7 +1,7 @@
 //! Policy-generic soundness properties.
 //!
 //! The cache abstraction is generic over the replacement policy; FIFO
-//! and tree-PLRU run their must/may/persistence domains through
+//! and tree-PLRU run their must/may domains through
 //! relative-competitiveness reductions to LRU (DESIGN.md §10). Those
 //! reductions are allowed to lose precision but never soundness, so the
 //! property is the same for every policy:

@@ -124,7 +124,7 @@ mod tests {
             Some(NcCause::Sentinel)
         );
 
-        // Under LRU the exact may domain answered: the same NC shape is a
+        // Under LRU the bounded may domain answered: the same NC shape is a
         // genuine conflict, not a sentinel artifact.
         let lru = CacheConfig::new(2, 16, 32).unwrap();
         let must = MustState::new(&lru);

@@ -12,12 +12,15 @@
 //! * [`ConcreteState`] — an exact cache state (`c : L → S`) under the
 //!   configured policy, used by the trace simulator, the optimizer's
 //!   reverse analysis, and the soundness audit's reference walks;
-//! * [`MustState`] / [`MayState`] / [`PersistenceState`] — abstract cache
-//!   states used to classify references as always-hit / always-miss /
-//!   first-miss during WCET analysis. Exact for LRU; for FIFO and
+//! * [`MustState`] / [`MayState`] — abstract cache states used to
+//!   classify references as always-hit / always-miss during WCET
+//!   analysis. For LRU they run at the real associativity; for FIFO and
 //!   tree-PLRU they run at a policy-reduced *effective* associativity
 //!   (sound via relative competitiveness, less precise — see the
-//!   [`policy`] module docs).
+//!   [`policy`] module docs), and the exact per-set refinement
+//!   ([`refine`]) upgrades what they leave unclassified. The refinement is
+//!   not applied under LRU, whose must/may classification is sound but
+//!   not exact either.
 //!
 //! # Example
 //!
@@ -57,7 +60,6 @@ pub mod legacy;
 pub mod may;
 pub mod must;
 mod packed;
-pub mod persistence;
 pub mod policy;
 pub mod refine;
 pub mod timing;
@@ -73,7 +75,6 @@ pub use intern::{StateInterner, StatePair};
 pub use join::join_pairs_into;
 pub use may::MayState;
 pub use must::MustState;
-pub use persistence::PersistenceState;
 pub use policy::ReplacementPolicy;
 pub use refine::{NcCause, RefineConfig, RefineMark, SetState};
 pub use timing::MemTiming;

@@ -4,14 +4,15 @@
 //! block absent from the may state is cached in **no** concrete state the
 //! abstract state represents, so a reference to it is an *always miss*.
 //!
-//! For LRU the domain is exact. FIFO and tree-PLRU have no finite LRU
-//! reduction on the may side (a FIFO block ages only on misses, which the
-//! abstract domain cannot distinguish from hits; a PLRU block can be
-//! protected indefinitely by the tree bits), so their may domain is
+//! For LRU the domain runs at the real associativity. FIFO and tree-PLRU
+//! have no finite LRU reduction on the may side (a FIFO block ages only on
+//! misses, which the abstract domain cannot distinguish from hits; a PLRU
+//! block can be protected indefinitely by the tree bits), so their may
+//! domain is
 //! *unbounded* ([`ReplacementPolicy::UNBOUNDED`](crate::ReplacementPolicy::UNBOUNDED)):
 //! possibly-cached blocks never age out, and only blocks that were never
 //! accessed on any reaching path classify as always-miss. Sound for any
-//! policy, but strictly less precise than the exact LRU domain.
+//! policy, but strictly less precise than the bounded LRU domain.
 
 use std::fmt;
 

@@ -8,7 +8,7 @@
 //!
 //! The domain is policy-generic through the configuration's
 //! [`ReplacementPolicy`](crate::ReplacementPolicy): for LRU it runs at the
-//! real associativity (exact); for FIFO and tree-PLRU it runs the same LRU
+//! real associativity; for FIFO and tree-PLRU it runs the same LRU
 //! update at the policy's smaller *effective* associativity
 //! ([`ReplacementPolicy::must_ways`](crate::ReplacementPolicy::must_ways)),
 //! the relative-competitiveness reduction of Reineke & Grund — sound for

@@ -6,36 +6,39 @@
 //! * the **concrete face** — the exact per-set update implemented by
 //!   [`ConcreteState`](crate::ConcreteState) (used by the trace simulator,
 //!   the optimizer's reverse analysis, and the soundness audit's walks);
-//! * the **abstract face** — the parameters the must/may/persistence
-//!   domains run under, expressed as *effective associativities* via
-//!   relative competitiveness to LRU (Reineke & Grund).
+//! * the **abstract face** — the parameters the must/may domains run
+//!   under, expressed as *effective associativities* via relative
+//!   competitiveness to LRU (Reineke & Grund).
 //!
-//! The LRU abstract face is exact (effective ways = real ways); FIFO and
-//! tree-PLRU reuse the LRU domains with a smaller effective associativity:
+//! The LRU reduction is the identity (effective ways = real ways) — the
+//! classification it yields is sound but not exact; FIFO and tree-PLRU
+//! reuse the LRU domains with a smaller effective associativity:
 //!
-//! * **FIFO(k)** — must/persistence run as LRU(1). A block with must-age 0
+//! * **FIFO(k)** — must runs as LRU(1). A block with must-age 0
 //!   was the set's last access on every path, so it is resident under FIFO
 //!   (a miss fetched it; a hit found it, and FIFO never reorders), and any
 //!   further same-set access drops the guarantee. The may side has no
 //!   finite LRU reduction: a FIFO block ages only on *misses*, which the
 //!   abstract domain cannot distinguish from hits, so possibly-cached
 //!   blocks never age out ([`ReplacementPolicy::UNBOUNDED`]).
-//! * **tree-PLRU(k)** — must/persistence run as LRU(log2(k) + 1): a
+//! * **tree-PLRU(k)** — must runs as LRU(log2(k) + 1): a
 //!   tree-PLRU set always retains its last log2(k) + 1 pairwise distinct
 //!   accessed blocks, because every access flips the tree bits on its path
 //!   away from the block. The may side is unbounded like FIFO's (an
 //!   unlucky bit pattern can protect a block indefinitely).
 //!
-//! Both reductions are *sound but less precise* than the exact LRU
-//! domains: fewer always-hit and (for the unbounded may) fewer always-miss
-//! classifications. See DESIGN.md §10 for the tradeoff discussion.
+//! Both reductions are *sound but less precise* than the LRU domains at
+//! the real associativity: fewer always-hit and (for the unbounded may)
+//! fewer always-miss classifications. See DESIGN.md §10 for the tradeoff
+//! discussion.
 
 use std::fmt;
 
 /// A cache replacement policy, selectable per [`CacheConfig`](crate::CacheConfig).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum ReplacementPolicy {
-    /// Least-recently-used: the paper's policy, analyzed exactly.
+    /// Least-recently-used: the paper's policy, analyzed at the real
+    /// associativity.
     #[default]
     Lru,
     /// First-in first-out (round-robin): hits do not reorder.
@@ -82,10 +85,9 @@ impl ReplacementPolicy {
         }
     }
 
-    /// Effective associativity of the must and persistence domains for a
-    /// set of `assoc` real ways (the competitiveness reduction above).
-    /// `const` so the empty abstract states can be built in `const`/`static`
-    /// contexts.
+    /// Effective associativity of the must domain for a set of `assoc`
+    /// real ways (the competitiveness reduction above). `const` so the
+    /// empty abstract states can be built in `const`/`static` contexts.
     pub const fn must_ways(self, assoc: u32) -> u32 {
         match self {
             ReplacementPolicy::Lru => assoc,

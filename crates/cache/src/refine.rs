@@ -29,9 +29,9 @@ use crate::policy::ReplacementPolicy;
 ///
 /// Threaded from `EngineConfig` (where it enters every analysis
 /// fingerprint) down to the classify fixpoint. Refinement only ever
-/// *adds* precision: with `enabled = false`, or for LRU (whose abstract
-/// domain is already exact), the analysis result is bit-identical to the
-/// unrefined one.
+/// *adds* precision: with `enabled = false`, or for LRU (where the stage
+/// is not applied — see [`applies_to`](Self::applies_to)), the analysis
+/// result is bit-identical to the unrefined one.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RefineConfig {
     /// Whether the refinement stage runs at all.
@@ -70,9 +70,10 @@ impl RefineConfig {
         }
     }
 
-    /// Whether the stage has anything to do under `policy`: it must be
-    /// enabled, and the policy's cheap abstract domain must be inexact
-    /// (LRU is exact already — refinement would be pure cost).
+    /// Whether the stage runs under `policy`: it must be enabled, and the
+    /// policy must be FIFO or tree-PLRU. It is not applied under LRU,
+    /// although LRU's must/may classification is not exact either
+    /// (DESIGN.md §12 records the measured gap).
     pub fn applies_to(self, policy: ReplacementPolicy) -> bool {
         self.enabled && policy != ReplacementPolicy::Lru
     }
@@ -249,7 +250,7 @@ mod tests {
         assert_eq!(RefineConfig::default(), RefineConfig::on());
         assert!(RefineConfig::on().applies_to(ReplacementPolicy::Fifo));
         assert!(RefineConfig::on().applies_to(ReplacementPolicy::Plru));
-        // LRU is exact already; the stage must never run on it.
+        // The stage is not applied under LRU.
         assert!(!RefineConfig::on().applies_to(ReplacementPolicy::Lru));
         for p in ReplacementPolicy::ALL {
             assert!(!RefineConfig::off().applies_to(p));

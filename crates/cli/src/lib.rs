@@ -494,17 +494,6 @@ fn cmd_analyze(o: &Options) -> Result<String, CliError> {
         a.wcet_accesses(),
         a.wcet_misses()
     );
-    let pr = rtpf_wcet::persistence_report(p, a);
-    if pr.first_miss_refs > 0 {
-        let _ = writeln!(
-            s,
-            "persistence: {} first-miss refs; a first-miss-aware bound could \
-             recover up to {} cycles ({:.1}%)",
-            pr.first_miss_refs,
-            pr.recoverable_cycles,
-            100.0 * pr.recoverable_cycles as f64 / a.tau_w() as f64
-        );
-    }
     Ok(s)
 }
 

@@ -51,7 +51,7 @@ fn analyze_lru() {
 }
 
 #[test]
-fn analyze_fifo_prints_refinement_and_persistence() {
+fn analyze_fifo_prints_refinement() {
     check(
         "analyze_fft1_fifo",
         "analyze suite:fft1 --cache 2,16,512 --policy fifo",

@@ -204,7 +204,8 @@ pub struct ServiceRequest {
 /// pipeline failed.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ServiceError {
-    /// The request could not be interpreted (HTTP 400 territory).
+    /// The request could not be interpreted, or its program text does not
+    /// parse (HTTP 400 territory).
     BadRequest(String),
     /// A pipeline stage failed (HTTP 500 territory).
     Engine(EngineError),
@@ -223,7 +224,10 @@ impl std::error::Error for ServiceError {}
 
 impl From<EngineError> for ServiceError {
     fn from(e: EngineError) -> ServiceError {
-        ServiceError::Engine(e)
+        match e {
+            EngineError::Parse { .. } => ServiceError::BadRequest(e.to_string()),
+            e => ServiceError::Engine(e),
+        }
     }
 }
 
@@ -400,8 +404,9 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::BadRequest`] for uninterpretable requests,
-    /// [`ServiceError::Engine`] for pipeline failures.
+    /// [`ServiceError::BadRequest`] for uninterpretable requests and
+    /// program text that does not parse, [`ServiceError::Engine`] for
+    /// pipeline failures.
     ///
     /// [`serve`]: ServiceCore::serve
     pub fn handle(&self, req: &ServiceRequest) -> Result<ServiceResponse, ServiceError> {
@@ -577,5 +582,13 @@ mod tests {
         let mut req = request(ServiceOp::Analyze);
         req.program = ProgramSource::Spec("suite:doom".to_string());
         assert!(matches!(core.handle(&req), Err(ServiceError::Engine(_))));
+        req.program = ProgramSource::Inline {
+            name: "junk".to_string(),
+            text: "loop 0 { code 1 }".to_string(),
+        };
+        assert!(matches!(
+            core.handle(&req),
+            Err(ServiceError::BadRequest(_))
+        ));
     }
 }

@@ -24,6 +24,8 @@
 //! * `switch C { arm { … } … }` — a multi-way branch;
 //! * `#` starts a line comment; whitespace is free-form.
 //!
+//! Blocks nest at most [`MAX_NESTING`] deep.
+//!
 //! [`parse`] produces a [`Shape`] (plus the program name), and
 //! [`write()`] renders a `Shape` back; the two round-trip.
 
@@ -48,6 +50,11 @@ impl fmt::Display for ParseShapeError {
 }
 
 impl Error for ParseShapeError {}
+
+/// Deepest `{ … }` nesting [`parse`] accepts. The parser recurses once per
+/// level, so unbounded input would overflow the stack; VIVU's context
+/// budget already refuses loop nests far shallower than this.
+pub const MAX_NESTING: usize = 256;
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 enum Tok {
@@ -152,9 +159,10 @@ impl Lexer {
         }
     }
 
-    fn expect_lbrace(&mut self) -> Result<(), ParseShapeError> {
+    /// Consumes a `{`, returning its line.
+    fn expect_lbrace(&mut self) -> Result<usize, ParseShapeError> {
         match self.next() {
-            Some((_, Tok::LBrace)) => Ok(()),
+            Some((line, Tok::LBrace)) => Ok(line),
             other => Err(ParseShapeError {
                 line: other.as_ref().map_or(self.line(), |&(l, _)| l),
                 message: format!("expected '{{', found {other:?}"),
@@ -187,7 +195,7 @@ pub fn parse(src: &str) -> Result<(String, Shape), ParseShapeError> {
         }
         _ => "unnamed".to_string(),
     };
-    let body = parse_seq(&mut lx, false)?;
+    let body = parse_seq(&mut lx, 0)?;
     if let Some((line, tok)) = lx.next() {
         return Err(ParseShapeError {
             line,
@@ -197,8 +205,22 @@ pub fn parse(src: &str) -> Result<(String, Shape), ParseShapeError> {
     Ok((name, body))
 }
 
-/// Parses statements until EOF (`in_block = false`) or a closing brace.
-fn parse_seq(lx: &mut Lexer, in_block: bool) -> Result<Shape, ParseShapeError> {
+/// Parses a `{ … }` block that sits `depth` blocks deep.
+fn parse_block(lx: &mut Lexer, depth: usize) -> Result<Shape, ParseShapeError> {
+    let line = lx.expect_lbrace()?;
+    if depth > MAX_NESTING {
+        return Err(ParseShapeError {
+            line,
+            message: format!("nesting deeper than {MAX_NESTING}"),
+        });
+    }
+    parse_seq(lx, depth)
+}
+
+/// Parses statements until EOF (`depth = 0`) or the brace closing the
+/// enclosing block.
+fn parse_seq(lx: &mut Lexer, depth: usize) -> Result<Shape, ParseShapeError> {
+    let in_block = depth > 0;
     let mut items = Vec::new();
     loop {
         match lx.peek() {
@@ -232,7 +254,7 @@ fn parse_seq(lx: &mut Lexer, in_block: bool) -> Result<Shape, ParseShapeError> {
                     }
                 };
                 lx.next();
-                items.push(parse_stmt(lx, &word, line)?);
+                items.push(parse_stmt(lx, &word, line, depth)?);
             }
         }
     }
@@ -242,7 +264,12 @@ fn parse_seq(lx: &mut Lexer, in_block: bool) -> Result<Shape, ParseShapeError> {
     })
 }
 
-fn parse_stmt(lx: &mut Lexer, word: &str, line: usize) -> Result<Shape, ParseShapeError> {
+fn parse_stmt(
+    lx: &mut Lexer,
+    word: &str,
+    line: usize,
+    depth: usize,
+) -> Result<Shape, ParseShapeError> {
     match word {
         "code" => Ok(Shape::code(lx.expect_number("instruction count")?)),
         "loop" => {
@@ -253,19 +280,16 @@ fn parse_stmt(lx: &mut Lexer, word: &str, line: usize) -> Result<Shape, ParseSha
                     message: "loop bound must be positive".into(),
                 });
             }
-            lx.expect_lbrace()?;
-            let body = parse_seq(lx, true)?;
+            let body = parse_block(lx, depth + 1)?;
             Ok(Shape::loop_(bound, body))
         }
         "if" => {
             let cond = lx.expect_number("condition size")?;
-            lx.expect_lbrace()?;
-            let then_arm = parse_seq(lx, true)?;
+            let then_arm = parse_block(lx, depth + 1)?;
             match lx.peek() {
                 Some((_, Tok::Word(w))) if w == "else" => {
                     lx.next();
-                    lx.expect_lbrace()?;
-                    let else_arm = parse_seq(lx, true)?;
+                    let else_arm = parse_block(lx, depth + 1)?;
                     Ok(Shape::if_else(cond, then_arm, else_arm))
                 }
                 _ => Ok(Shape::if_then(cond, then_arm)),
@@ -278,8 +302,7 @@ fn parse_stmt(lx: &mut Lexer, word: &str, line: usize) -> Result<Shape, ParseSha
             loop {
                 match lx.next() {
                     Some((_, Tok::Word(w))) if w == "arm" => {
-                        lx.expect_lbrace()?;
-                        arms.push(parse_seq(lx, true)?);
+                        arms.push(parse_block(lx, depth + 1)?);
                     }
                     Some((_, Tok::RBrace)) => break,
                     other => {
@@ -442,6 +465,22 @@ code 14
     fn rejects_garbage_characters() {
         let err = parse("code 5 $").unwrap_err();
         assert!(err.message.contains("unexpected character"));
+    }
+
+    /// `depth` nested loops, the innermost opening on line `depth`.
+    fn nested_loops(depth: usize) -> String {
+        "loop 2 {\n".repeat(depth) + "code 1\n" + &"}\n".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        parse(&nested_loops(MAX_NESTING)).expect("the cap itself parses");
+        let err = parse(&nested_loops(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.line, MAX_NESTING + 1);
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        // Far past the cap: an error, not a stack overflow.
+        let err = parse(&nested_loops(100_000)).unwrap_err();
+        assert_eq!(err.line, MAX_NESTING + 1);
     }
 
     #[test]

@@ -6,9 +6,15 @@
 //! error bodies, all escaped by `rtpf_engine::json_escape`). It parses the
 //! full JSON grammar — objects, arrays, strings with escapes (including
 //! `\uXXXX`), numbers, booleans, null — into a [`Value`] tree with the
-//! few typed accessors request decoding needs.
+//! few typed accessors request decoding needs. Arrays and objects nest
+//! at most [`MAX_NESTING`] deep.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded body would overflow a worker's
+/// stack — an abort no `catch_unwind` contains. Requests nest 3 deep.
+pub const MAX_NESTING: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -54,6 +60,7 @@ impl Value {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -106,6 +113,8 @@ impl Value {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -146,8 +155,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(self.err(format!("nesting deeper than {MAX_NESTING}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -346,6 +366,19 @@ mod tests {
         ] {
             assert!(Value::parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Value::parse(&nested(MAX_NESTING)).is_ok());
+        let err = Value::parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!(err.at, MAX_NESTING);
+        let objects = "{\"a\":".repeat(MAX_NESTING + 1) + "1" + &"}".repeat(MAX_NESTING + 1);
+        assert!(Value::parse(&objects).is_err());
+        // A 1 MiB body of `[`: an error, not a stack overflow.
+        assert!(Value::parse(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]

@@ -310,6 +310,39 @@ fn an_endless_head_line_is_rejected_at_the_head_cap() {
     server.shutdown();
 }
 
+/// A request body of 1 MiB of `[` is refused at the JSON parser's nesting
+/// cap instead of overflowing a worker's stack and aborting the daemon.
+#[test]
+fn a_deeply_nested_json_body_is_a_bad_request() {
+    let server = Running::start(DaemonConfig::default());
+    let resp = server.post("/analyze", &"[".repeat(1 << 20));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+    assert_eq!(server.get("/healthz").status, 200);
+    server.shutdown();
+}
+
+/// Inline program text nested 20 000 blocks deep is refused at the text
+/// parser's nesting cap, like any other program text that does not parse.
+#[test]
+fn a_deeply_nested_inline_program_is_a_bad_request() {
+    let server = Running::start(DaemonConfig::default());
+    let depth = 20_000;
+    let req = ServiceRequest {
+        op: ServiceOp::Analyze,
+        program: ProgramSource::Inline {
+            name: "deep".to_string(),
+            text: "loop 2 {\n".repeat(depth) + "code 1\n" + &"}\n".repeat(depth),
+        },
+        config: ConfigSpec::default(),
+    };
+    let resp = server.post("/analyze", &encode_request(&req));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+    assert_eq!(server.get("/healthz").status, 200);
+    server.shutdown();
+}
+
 /// Error bodies are valid JSON even when the message echoes control
 /// characters, quotes and backslashes from the request.
 #[test]

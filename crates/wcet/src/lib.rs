@@ -47,7 +47,6 @@ pub mod error;
 pub mod ipet;
 mod l2;
 pub mod memo;
-pub mod persistence;
 pub mod profile;
 pub mod refine;
 pub mod vivu;
@@ -57,7 +56,6 @@ pub use analysis::WcetAnalysis;
 pub use context::{Context, Iter};
 pub use error::AnalysisError;
 pub use memo::AnalysisCache;
-pub use persistence::{persistence_report, tau_w_first_miss, PersistenceReport};
 pub use profile::AnalysisProfile;
 pub use refine::RefineStats;
 pub use vivu::{NodeId, VivuGraph, VivuNode};

@@ -273,7 +273,8 @@ fn explore_set(ctx: &Ctx<'_>, bucket: &Bucket, scratch: &mut Scratch) -> SetOutc
 /// node. `mem_block` maps each reference to its fetched block.
 ///
 /// The pass is a no-op (all marks [`RefineMark::Untouched`]) when
-/// disabled, under LRU (the cheap domain is already exact), or when a
+/// disabled, under LRU (where the stage is not applied, although the cheap
+/// LRU classification is not exact either — DESIGN.md §12), or when a
 /// hardware next-line prefetcher is modelled (its folds are not part of
 /// the concrete per-set replay).
 #[allow(clippy::too_many_arguments)]
@@ -464,7 +465,8 @@ mod tests {
 
     #[test]
     fn lru_analysis_is_untouched_by_refinement() {
-        // LRU's abstract domain is exact; the stage must not run, and the
+        // The stage is not applied under LRU (its cheap classification is
+        // not exact, but lifting the exemption changes LRU bytes); the
         // result must be bit-identical with refinement on or off.
         let shape = Shape::seq([
             Shape::code(12),
