@@ -116,7 +116,7 @@ pub fn audit_transform(
                     continue;
                 }
                 effective += 1;
-                if !after.classification(r_j).counts_as_miss() {
+                if after.always_hits(r_j) {
                     profitable += 1;
                 }
             }

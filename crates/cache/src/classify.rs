@@ -6,7 +6,6 @@ use rtpf_isa::MemBlockId;
 
 use crate::may::MayState;
 use crate::must::MustState;
-use crate::refine::NcCause;
 
 /// Static classification of one reference, in the style of cache-aware WCET
 /// analysis (references [8, 21] of the paper).
@@ -38,20 +37,6 @@ impl Classification {
     #[inline]
     pub fn counts_as_miss(&self) -> bool {
         !matches!(self, Classification::AlwaysHit)
-    }
-
-    /// Why a reference to `block` is left unclassified under the given
-    /// incoming states — `None` when it classifies. A sentinel cause
-    /// means the may domain carried no information at all (the FIFO /
-    /// tree-PLRU no-information path); a conflict cause means the exact
-    /// may domain saw the block cached on some reaching path. The
-    /// refinement stage targets sentinel NC references first.
-    pub fn nc_cause(block: MemBlockId, must: &MustState, may: &MayState) -> Option<NcCause> {
-        match Classification::of(block, must, may) {
-            Classification::Unclassified if may.is_unbounded() => Some(NcCause::Sentinel),
-            Classification::Unclassified => Some(NcCause::Conflict),
-            _ => None,
-        }
     }
 }
 
@@ -98,59 +83,6 @@ mod tests {
             Classification::AlwaysHit
         );
         assert!(!Classification::of(b, &must, &may).counts_as_miss());
-    }
-
-    #[test]
-    fn nc_cause_pins_sentinel_vs_conflict() {
-        use crate::policy::ReplacementPolicy;
-        let b = MemBlockId(4);
-
-        // Under FIFO the may side is the no-information sentinel: an NC
-        // block is NC because always-miss was structurally unavailable.
-        let fifo = CacheConfig::new(2, 16, 32)
-            .unwrap()
-            .with_policy(ReplacementPolicy::Fifo)
-            .unwrap();
-        let must = MustState::new(&fifo);
-        let mut may = MayState::new(&fifo);
-        assert!(may.is_unbounded());
-        may.update(b);
-        assert_eq!(
-            Classification::of(b, &must, &may),
-            Classification::Unclassified
-        );
-        assert_eq!(
-            Classification::nc_cause(b, &must, &may),
-            Some(NcCause::Sentinel)
-        );
-
-        // Under LRU the bounded may domain answered: the same NC shape is a
-        // genuine conflict, not a sentinel artifact.
-        let lru = CacheConfig::new(2, 16, 32).unwrap();
-        let must = MustState::new(&lru);
-        let mut may = MayState::new(&lru);
-        assert!(!may.is_unbounded());
-        may.update(b);
-        assert_eq!(
-            Classification::of(b, &must, &may),
-            Classification::Unclassified
-        );
-        assert_eq!(
-            Classification::nc_cause(b, &must, &may),
-            Some(NcCause::Conflict)
-        );
-
-        // Classified references have no NC cause, either way.
-        let mut must = MustState::new(&lru);
-        must.update(b);
-        assert_eq!(Classification::nc_cause(b, &must, &may), None);
-        let empty_may = MayState::new(&lru);
-        let cold_must = MustState::new(&lru);
-        assert_eq!(
-            Classification::of(b, &cold_must, &empty_may),
-            Classification::AlwaysMiss
-        );
-        assert_eq!(Classification::nc_cause(b, &cold_must, &empty_may), None);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use join::join_pairs_into;
 pub use may::MayState;
 pub use must::MustState;
 pub use policy::ReplacementPolicy;
-pub use refine::{NcCause, RefineConfig, RefineMark, SetState};
+pub use refine::{RefineConfig, RefineMark, SetState};
 pub use timing::MemTiming;
 
 /// The shared no-information sentinel pair for `config`: an empty must

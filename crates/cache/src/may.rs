@@ -99,11 +99,10 @@ impl MayState {
 
     /// Whether this state lives in the no-information unbounded domain
     /// (FIFO / tree-PLRU, or a bounded effective associativity widened
-    /// past the packed age lane). An unclassified reference under an
-    /// unbounded may domain is a *sentinel* NC — the always-miss half of
-    /// the classifier was structurally absent, not outvoted — which is
-    /// what the refinement stage targets first (see
-    /// [`crate::refine::NcCause`]).
+    /// past the packed age lane). Such a domain never rules a block out,
+    /// so an unclassified reference under it says only that always-miss
+    /// was structurally unavailable, not that the block conflicts — the
+    /// leftovers the exact refinement ([`crate::refine`]) re-examines.
     #[inline]
     pub fn is_unbounded(&self) -> bool {
         self.assoc == ReplacementPolicy::UNBOUNDED

@@ -3,7 +3,8 @@
 //!
 //! The cheap abstract analyses for FIFO and tree-PLRU run at a
 //! policy-reduced effective associativity (must) or with no may
-//! information at all ([`NcCause::Sentinel`]), so they leave many
+//! information at all (an unbounded may domain never rules a block
+//! out), so they leave many
 //! references unclassified that are in fact always-hit or always-miss.
 //! Following Touzeau et al. ("Fast and exact analysis for LRU caches",
 //! PAPERS.md), the refinement stage re-examines exactly those leftovers
@@ -109,34 +110,6 @@ pub enum RefineMark {
     /// exact exploration. The soundness audit holds these to the same
     /// hard standard as the cheap classifications (RTPF040/RTPF042).
     Refined,
-}
-
-/// Why the cheap analysis left a reference unclassified.
-///
-/// The distinction matters to the refinement stage: sentinel NC blocks
-/// (the may domain carried no information at all) are the designed
-/// targets — any exploration outcome is new signal — while conflict NC
-/// blocks already lost a genuine precision fight and are less likely to
-/// resolve.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum NcCause {
-    /// The may analysis ran in the no-information unbounded domain (FIFO /
-    /// tree-PLRU, or a geometry too wide for the packed age lane): it can
-    /// never rule out caching, so the always-miss half of the classifier
-    /// was structurally absent.
-    Sentinel,
-    /// The may domain was exact but the block genuinely conflicts: cached
-    /// on some reaching paths, evicted on others.
-    Conflict,
-}
-
-impl fmt::Display for NcCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            NcCause::Sentinel => "sentinel",
-            NcCause::Conflict => "conflict",
-        })
-    }
 }
 
 /// Sentinel for an invalid (empty) way in a [`SetState`].

@@ -344,7 +344,7 @@ impl Optimizer {
             let pj = path.position(r_j).expect("next_use returns path refs");
             // No gain if `r_j` already always hits, and Eq. 9 forbids
             // prefetching for a prefetch.
-            if !cur.classification(r_j).counts_as_miss() {
+            if cur.always_hits(r_j) {
                 continue;
             }
             let rj_instr = cur.acfg().reference(r_j).instr;

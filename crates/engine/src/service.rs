@@ -27,8 +27,8 @@ use rtpf_audit::{json_escape, DiagnosticSink, SoundnessOptions};
 use rtpf_cache::CacheConfig;
 use rtpf_core::{OptimizeResult, TheoremReport};
 use rtpf_isa::Program;
-use rtpf_sim::SimResult;
-use rtpf_wcet::WcetAnalysis;
+use rtpf_sim::{SimError, SimResult};
+use rtpf_wcet::{AnalysisError, WcetAnalysis};
 
 use crate::config::EngineConfig;
 use crate::error::EngineError;
@@ -204,8 +204,8 @@ pub struct ServiceRequest {
 /// pipeline failed.
 #[derive(Clone, PartialEq, Debug)]
 pub enum ServiceError {
-    /// The request could not be interpreted, or its program text does not
-    /// parse (HTTP 400 territory).
+    /// The request could not be interpreted, or the pipeline failed
+    /// because of what it asked for (HTTP 400 territory).
     BadRequest(String),
     /// A pipeline stage failed (HTTP 500 territory).
     Engine(EngineError),
@@ -222,11 +222,32 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// Whether an engine failure is the request's fault: program text that
+/// does not parse, an unknown suite name, a program the analysis or the
+/// simulator rejects as invalid, a loop nest past the context budget, or
+/// an execution past the simulator's fetch cap. Everything else is a
+/// pipeline failure.
+fn client_caused(e: &EngineError) -> bool {
+    match e {
+        EngineError::Parse { .. } | EngineError::UnknownSuite(_) => true,
+        EngineError::Analysis(a) | EngineError::Optimize(a) | EngineError::Verify(a) => matches!(
+            a,
+            AnalysisError::ContextExplosion { .. } | AnalysisError::InvalidProgram(_)
+        ),
+        EngineError::Simulate(s) => matches!(
+            s,
+            SimError::InvalidProgram(_) | SimError::FetchCapExceeded { .. }
+        ),
+        _ => false,
+    }
+}
+
 impl From<EngineError> for ServiceError {
     fn from(e: EngineError) -> ServiceError {
-        match e {
-            EngineError::Parse { .. } => ServiceError::BadRequest(e.to_string()),
-            e => ServiceError::Engine(e),
+        if client_caused(&e) {
+            ServiceError::BadRequest(e.to_string())
+        } else {
+            ServiceError::Engine(e)
         }
     }
 }
@@ -404,9 +425,11 @@ impl ServiceCore {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::BadRequest`] for uninterpretable requests and
-    /// program text that does not parse, [`ServiceError::Engine`] for
-    /// pipeline failures.
+    /// [`ServiceError::BadRequest`] for uninterpretable requests and for
+    /// pipeline failures the request caused (program text that does not
+    /// parse, an unknown suite name, an invalid program, a loop nest past
+    /// the context budget, a run past the fetch cap),
+    /// [`ServiceError::Engine`] for every other pipeline failure.
     ///
     /// [`serve`]: ServiceCore::serve
     pub fn handle(&self, req: &ServiceRequest) -> Result<ServiceResponse, ServiceError> {
@@ -581,7 +604,10 @@ mod tests {
         ));
         let mut req = request(ServiceOp::Analyze);
         req.program = ProgramSource::Spec("suite:doom".to_string());
-        assert!(matches!(core.handle(&req), Err(ServiceError::Engine(_))));
+        assert!(matches!(
+            core.handle(&req),
+            Err(ServiceError::BadRequest(_))
+        ));
         req.program = ProgramSource::Inline {
             name: "junk".to_string(),
             text: "loop 0 { code 1 }".to_string(),

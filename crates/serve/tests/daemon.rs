@@ -261,7 +261,7 @@ fn protocol_errors_use_the_right_status_codes() {
     let bad_cache = encode_request(&service_request(ServiceOp::Analyze, "bs", "3:16:512"));
     assert_eq!(server.post("/analyze", &bad_cache).status, 400);
     let unknown = encode_request(&service_request(ServiceOp::Analyze, "doom", "2:16:512"));
-    assert_eq!(server.post("/analyze", &unknown).status, 500);
+    assert_eq!(server.post("/analyze", &unknown).status, 400);
     server.shutdown();
 }
 
@@ -343,6 +343,28 @@ fn a_deeply_nested_inline_program_is_a_bad_request() {
     server.shutdown();
 }
 
+/// A program whose loop nest passes VIVU's context budget, yet stays
+/// inside the text parser's nesting cap, is the client's fault: a 400,
+/// and the daemon keeps serving.
+#[test]
+fn a_loop_nest_past_the_context_budget_is_a_bad_request() {
+    let server = Running::start(DaemonConfig::default());
+    let depth = 256;
+    let req = ServiceRequest {
+        op: ServiceOp::Analyze,
+        program: ProgramSource::Inline {
+            name: "nest".to_string(),
+            text: "loop 2 {\n".repeat(depth) + "code 1\n" + &"}\n".repeat(depth),
+        },
+        config: ConfigSpec::default(),
+    };
+    let resp = server.post("/analyze", &encode_request(&req));
+    assert_eq!(resp.status, 400, "{}", resp.body);
+    assert!(resp.body.contains("contexts, over budget"), "{}", resp.body);
+    assert_eq!(server.get("/healthz").status, 200);
+    server.shutdown();
+}
+
 /// Error bodies are valid JSON even when the message echoes control
 /// characters, quotes and backslashes from the request.
 #[test]
@@ -352,7 +374,7 @@ fn error_bodies_escape_every_character_the_request_echoes() {
     // Written out by hand, so only the daemon's escaping is under test.
     let body = r#"{"program": "suite:a\tb\u0001\"c\\d", "config": {"cache": "2:16:512"}}"#;
     let resp = server.post("/analyze", body);
-    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert_eq!(resp.status, 400, "{}", resp.body);
     let doc = Value::parse(&resp.body).expect("error body is valid JSON");
     let error = doc
         .get("error")

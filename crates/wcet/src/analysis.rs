@@ -2,7 +2,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use rtpf_cache::{
@@ -12,7 +12,7 @@ use rtpf_cache::{
 use rtpf_isa::{Layout, MemBlockId, Program};
 
 use crate::acfg::{Acfg, RefId};
-use crate::classify::{self, ClassifyResult, PrevPass};
+use crate::classify::{self, ClassifyResult, Halves, PrevPass};
 use crate::error::AnalysisError;
 use crate::ipet;
 use crate::l2;
@@ -56,9 +56,15 @@ pub struct WcetAnalysis {
     /// Fingerprint of the analysed program's CFG (blocks, edges, loop
     /// bounds); incremental re-analysis requires it to be unchanged.
     cfg_sig: u64,
+    /// The state halves the fixpoint ran ([`Halves::for_config`]). Under
+    /// [`Halves::Must`] `class` and `cheap_class` decide always-hit only
+    /// (every other reference reads unclassified) and `split` holds the
+    /// full answer once something reads it.
+    halves: Halves,
     /// Final classification: the cheap fixpoint result, with every
     /// upgrade the refinement stage proved applied on top. Feeds `t_w`,
-    /// IPET, and the optimizer's profitability inputs.
+    /// IPET, and the optimizer's profitability inputs, none of which
+    /// reads more than its always-hit bit.
     class: Vec<Classification>,
     /// The *unrefined* fixpoint classification. Incremental re-analysis
     /// seeds from this vector, never the refined one: the skipped-SCC
@@ -67,6 +73,13 @@ pub struct WcetAnalysis {
     /// when another context of the same cache set changes. Refinement
     /// instead re-runs deterministically after every (re-)classification.
     cheap_class: Vec<Classification>,
+    /// The always-hit / always-miss / unclassified classification of a
+    /// [`Halves::Must`] analysis, computed on first read by a may-only
+    /// run over this analysis's own graph and signatures. Refinement and
+    /// the L2 pass never run under that mode, so one vector serves as
+    /// both the refined and the cheap classification. Unused under
+    /// [`Halves::Both`].
+    split: OnceLock<Vec<Classification>>,
     /// What the refinement stage did to each reference.
     marks: Vec<RefineMark>,
     refine_stats: RefineStats,
@@ -210,13 +223,41 @@ impl WcetAnalysis {
         refine: RefineConfig,
         cache: &mut AnalysisCache,
     ) -> Result<Self, AnalysisError> {
+        let halves = Halves::for_config(hierarchy, refine);
+        Self::analyze_in_mode(
+            p,
+            layout,
+            hierarchy,
+            timing,
+            hw_next_line,
+            refine,
+            halves,
+            cache,
+        )
+    }
+
+    /// [`analyze_full`](Self::analyze_full) with the fixpoint's halves
+    /// given rather than derived from the configuration; tests pass
+    /// [`Halves::Both`] to compare a must-only analysis against the fused
+    /// one.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn analyze_in_mode(
+        p: &Program,
+        layout: Layout,
+        hierarchy: &HierarchyConfig,
+        timing: &MemTiming,
+        hw_next_line: Option<u32>,
+        refine: RefineConfig,
+        halves: Halves,
+        cache: &mut AnalysisCache,
+    ) -> Result<Self, AnalysisError> {
         let t0 = Instant::now();
         let vivu = Arc::new(VivuGraph::build(p)?);
         let acfg = Acfg::build(p, &vivu);
         let vivu_ns = t0.elapsed().as_nanos() as u64;
 
         // A new VIVU graph roots a new lineage: the cache starts empty.
-        cache.bind(&vivu);
+        cache.bind(&vivu, halves);
         let t1 = Instant::now();
         let cls = classify::classify_full_cached(
             p,
@@ -225,6 +266,7 @@ impl WcetAnalysis {
             &acfg,
             hierarchy.l1(),
             hw_next_line,
+            halves,
             cache,
         )?;
         let fixpoint_ns = t1.elapsed().as_nanos() as u64;
@@ -238,6 +280,7 @@ impl WcetAnalysis {
             timing,
             hw_next_line,
             refine,
+            halves,
             cls,
             cache,
             vivu_ns,
@@ -259,6 +302,7 @@ impl WcetAnalysis {
         timing: &MemTiming,
         hw_next_line: Option<u32>,
         refine: RefineConfig,
+        halves: Halves,
         cls: ClassifyResult,
         cache: &mut AnalysisCache,
         vivu_ns: u64,
@@ -378,8 +422,10 @@ impl WcetAnalysis {
             hw_next_line,
             refine,
             cfg_sig,
+            halves,
             class,
             cheap_class,
+            split: OnceLock::new(),
             marks,
             refine_stats,
             mem_block: cls.mem_block,
@@ -442,7 +488,7 @@ impl WcetAnalysis {
         let acfg = Acfg::build(p2, &vivu);
         let vivu_ns = t0.elapsed().as_nanos() as u64;
 
-        cache.bind(&vivu);
+        cache.bind(&vivu, self.halves);
         let t1 = Instant::now();
         let cls = classify::classify_incremental(
             p2,
@@ -451,6 +497,7 @@ impl WcetAnalysis {
             &acfg,
             &self.config,
             self.hw_next_line,
+            self.halves,
             PrevPass {
                 acfg: &self.acfg,
                 // Seed from the *cheap* classification: the skipped-SCC
@@ -475,6 +522,7 @@ impl WcetAnalysis {
             &self.timing,
             self.hw_next_line,
             self.refine,
+            self.halves,
             cls,
             cache,
             vivu_ns,
@@ -587,11 +635,66 @@ impl WcetAnalysis {
         &self.profile
     }
 
+    /// The refined and the cheap classification vectors, with the
+    /// always-miss/unclassified split: the fixpoint's own vectors when it
+    /// ran both halves, else the split computed on first read (see the
+    /// `classify` module docs).
+    fn classes(&self) -> (&[Classification], &[Classification]) {
+        if self.halves == Halves::Both {
+            return (&self.class, &self.cheap_class);
+        }
+        let split = self.split.get_or_init(|| {
+            debug_assert_eq!(
+                self.class, self.cheap_class,
+                "no refinement without the may half"
+            );
+            let may = classify::classify_may(
+                &self.vivu,
+                &self.acfg,
+                &self.config,
+                self.hw_next_line,
+                &self.sigs,
+            )
+            .expect("the may half converges wherever the must half did");
+            self.class
+                .iter()
+                .zip(may)
+                .map(|(&c, m)| if c == Classification::AlwaysHit { c } else { m })
+                .collect()
+        });
+        (split, split)
+    }
+
+    /// The state halves the fixpoint ran.
+    #[cfg(test)]
+    pub(crate) fn halves(&self) -> Halves {
+        self.halves
+    }
+
+    /// Whether the always-miss/unclassified split of a must-only analysis
+    /// has been computed.
+    #[cfg(test)]
+    pub(crate) fn split_computed(&self) -> bool {
+        self.split.get().is_some()
+    }
+
     /// Classification of reference `r` (refined, when the refinement
-    /// stage upgraded it).
+    /// stage upgraded it). The first call on an analysis whose fixpoint
+    /// ran the must half alone computes the always-miss/unclassified
+    /// split for every reference; [`always_hits`](Self::always_hits)
+    /// answers the part `τ_w` prices without it.
     #[inline]
     pub fn classification(&self, r: RefId) -> Classification {
-        self.class[r.index()]
+        self.classes().0[r.index()]
+    }
+
+    /// Whether reference `r` is classified always-hit (refined, when the
+    /// refinement stage upgraded it) — the one bit of the classification
+    /// that `t_w` prices. Never computes the always-miss/unclassified
+    /// split.
+    #[inline]
+    pub fn always_hits(&self, r: RefId) -> bool {
+        self.class[r.index()] == Classification::AlwaysHit
     }
 
     /// The cheap (unrefined) fixpoint classification of reference `r`.
@@ -599,7 +702,7 @@ impl WcetAnalysis {
     /// on references the refinement stage upgraded.
     #[inline]
     pub fn cheap_classification(&self, r: RefId) -> Classification {
-        self.cheap_class[r.index()]
+        self.classes().1[r.index()]
     }
 
     /// What the refinement stage did to reference `r`.
@@ -689,7 +792,7 @@ impl WcetAnalysis {
         let mut hit = 0;
         let mut miss = 0;
         let mut unk = 0;
-        for c in &self.class {
+        for c in self.classes().0 {
             match c {
                 Classification::AlwaysHit => hit += 1,
                 Classification::AlwaysMiss => miss += 1,

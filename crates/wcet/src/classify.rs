@@ -53,13 +53,45 @@
 //! decay with dataflow distance and most SCCs are skipped in practice —
 //! the whole-closure alternative would mark nearly everything affected
 //! whenever relocation shifts addresses near the entry.
+//!
+//! # The may half runs only where it is read
+//!
+//! `τ_w` prices a reference at the hit time iff it is always-hit, which
+//! the must half alone decides. The may half only separates always-miss
+//! from unclassified, and that split is read by the L2 filter, by the
+//! FIFO/tree-PLRU refinement (which targets the unclassified set), and by
+//! reports. `Halves::for_config` is the one place that decides, from
+//! the configuration alone, whether an analysis needs the split up
+//! front; when it does not, the solver runs the must half alone
+//! (`Halves::Must`) and the analysis computes the split on first read
+//! with a may-only run of the same solver (`classify_may`).
+//!
+//! This is exact because must and may are independent lattices. The
+//! join of a pair is the pair of the joins (intersection on the must
+//! half, union on the may half), and a reference's transfer — its own
+//! fetch, its hardware next-line folds and its prefetch fold — updates
+//! each half from that half alone. The fused system is therefore the
+//! product of two systems that never read each other, and its unique
+//! extremal fixpoint is the pair of their unique extremal fixpoints: a
+//! must-only run reaches exactly the must half of the fused solution,
+//! and a may-only run exactly its may half. The classification combines
+//! the two the way the fused transfer does: always-hit if the must half
+//! guarantees the block, else always-miss if the may half rules it out,
+//! else unclassified. The incremental cutoff argument above uses only
+//! the uniqueness of each component's local fixpoint and the
+//! signature/input change test, so it holds for the must system by
+//! itself. A memo entry records the classifications of one mode, so a
+//! lineage cache is bound to one mode as well as one graph
+//! (`AnalysisCache::bind`).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use rtpf_cache::{join_pairs_into, CacheConfig, Classification, StatePair};
+use rtpf_cache::{
+    join_pairs_into, CacheConfig, Classification, HierarchyConfig, RefineConfig, StatePair,
+};
 use rtpf_isa::{BlockId, InstrKind, Layout, MemBlockId, Program};
 
 use crate::acfg::Acfg;
@@ -67,10 +99,41 @@ use crate::error::AnalysisError;
 use crate::memo::{AnalysisCache, NodeEval, NodeSig, Topology};
 use crate::vivu::{NodeId, VivuGraph};
 
+/// Which halves of the abstract state pair a classify pass computes (see
+/// the module docs). A half that does not run stays at the
+/// no-information sentinel's empty words on every node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Halves {
+    /// Must and may together: the exact always-hit / always-miss /
+    /// unclassified answer per reference.
+    Both,
+    /// The must half alone: always-hit or not, which is all `τ_w` reads.
+    /// Every other reference reads [`Classification::Unclassified`].
+    Must,
+    /// The may half alone: always-miss or not, the complement of a
+    /// [`Halves::Must`] pass. Every reference the may half cannot rule
+    /// out reads [`Classification::Unclassified`].
+    May,
+}
+
+impl Halves {
+    /// The halves an analysis under `hierarchy` and `refine` computes up
+    /// front: both when the always-miss/unclassified split feeds the L2
+    /// filter or the exact refinement, the must half alone otherwise.
+    pub(crate) fn for_config(hierarchy: &HierarchyConfig, refine: RefineConfig) -> Halves {
+        if hierarchy.l2().is_some() || refine.applies_to(hierarchy.l1().policy()) {
+            Halves::Both
+        } else {
+            Halves::Must
+        }
+    }
+}
+
 /// Per-reference classification results.
 #[derive(Clone, Debug)]
 pub struct ClassifyResult {
-    /// Classification per [`RefId`](crate::acfg::RefId) index.
+    /// Classification per [`RefId`](crate::acfg::RefId) index, as far as
+    /// the halves the pass ran decide it.
     pub class: Vec<Classification>,
     /// Memory block fetched by each reference.
     pub mem_block: Vec<MemBlockId>,
@@ -129,6 +192,7 @@ pub(crate) struct PrevPass<'a> {
 /// computed from it is *optimistic* for hardware prefetching — which is
 /// exactly the comparison the paper draws: hardware prefetching has no
 /// safe WCET story, software insertion does.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn classify_full_cached(
     p: &Program,
     layout: &Layout,
@@ -136,9 +200,51 @@ pub(crate) fn classify_full_cached(
     acfg: &Acfg,
     config: &CacheConfig,
     hw_next_line: Option<u32>,
+    halves: Halves,
     cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
-    run_classify(p, layout, vivu, acfg, config, hw_next_line, None, cache)
+    let block_shift = config.block_bytes().trailing_zeros();
+    let (sigs, _) = node_sigs(p, layout, vivu, block_shift, None, cache);
+    solve(
+        vivu,
+        acfg,
+        config,
+        hw_next_line,
+        halves,
+        sigs,
+        None,
+        None,
+        cache,
+    )
+}
+
+/// The may half of an analysis whose fixpoint ran the must half alone,
+/// from that analysis's own VIVU graph, reference graph and node
+/// signatures: per reference, [`Classification::AlwaysMiss`] where the
+/// may half rules the block out and [`Classification::Unclassified`]
+/// elsewhere. Runs on a private cache, so the caller's lineage stays in
+/// its own mode.
+pub(crate) fn classify_may(
+    vivu: &Arc<VivuGraph>,
+    acfg: &Acfg,
+    config: &CacheConfig,
+    hw_next_line: Option<u32>,
+    sigs: &[NodeSig],
+) -> Result<Vec<Classification>, AnalysisError> {
+    let mut cache = AnalysisCache::new();
+    cache.bind(vivu, Halves::May);
+    let cls = solve(
+        vivu,
+        acfg,
+        config,
+        hw_next_line,
+        Halves::May,
+        sigs.to_vec(),
+        None,
+        None,
+        &mut cache,
+    )?;
+    Ok(cls.class)
 }
 
 /// Re-classifies after a CFG-preserving program edit, recomputing only the
@@ -154,16 +260,20 @@ pub(crate) fn classify_incremental(
     acfg: &Acfg,
     config: &CacheConfig,
     hw_next_line: Option<u32>,
+    halves: Halves,
     prev: PrevPass<'_>,
     cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
-    run_classify(
-        p,
-        layout,
+    let block_shift = config.block_bytes().trailing_zeros();
+    let (sigs, dirty) = node_sigs(p, layout, vivu, block_shift, Some(prev.sigs), cache);
+    solve(
         vivu,
         acfg,
         config,
         hw_next_line,
+        halves,
+        sigs,
+        dirty.as_deref(),
         Some(prev),
         cache,
     )
@@ -340,21 +450,32 @@ pub(crate) fn build_topology(vivu: &VivuGraph) -> Topology {
     Topology::from_parts(preds, succs, comps)
 }
 
-/// Classifies one reference and applies its fetch to the abstract state —
-/// fused so the classification answers fall out of the update's own
-/// binary searches — including the hardware next-line folds when enabled.
+/// Folds block `b` into the halves of `state` that `halves` runs.
+#[inline]
+fn fold(state: &mut StatePair, b: MemBlockId, halves: Halves) {
+    if halves != Halves::May {
+        state.0.update(b);
+    }
+    if halves != Halves::Must {
+        state.1.update(b);
+    }
+}
+
+/// Classifies one reference and applies its fetch to the halves of the
+/// abstract state that `halves` runs — fused so the classification
+/// answers fall out of the update's own binary searches — including the
+/// hardware next-line folds when enabled.
 fn classify_touch(
     state: &mut StatePair,
     b: MemBlockId,
     hw_next_line: Option<u32>,
+    halves: Halves,
 ) -> Classification {
-    let guaranteed = state.0.update_classify(b);
-    let possible = state.1.update_classify(b);
+    let guaranteed = halves != Halves::May && state.0.update_classify(b);
+    let possible = halves == Halves::Must || state.1.update_classify(b);
     if let Some(n) = hw_next_line {
         for k in 1..=u64::from(n) {
-            let nb = MemBlockId(b.0 + k);
-            state.0.update(nb);
-            state.1.update(nb);
+            fold(state, MemBlockId(b.0 + k), halves);
         }
     }
     if guaranteed {
@@ -464,6 +585,7 @@ struct Solver<'a> {
     prev: Option<PrevPass<'a>>,
     dirty: Option<&'a [bool]>,
     hw_next_line: Option<u32>,
+    halves: Halves,
     /// Per-node outcome, filled when the node's component converged.
     outcomes: Vec<Option<NodeOutcome>>,
     ws: SolverScratch,
@@ -547,10 +669,14 @@ impl Solver<'_> {
         let sig = &self.sigs[i];
         let mut class = Vec::with_capacity(sig.len());
         for &(own, pf) in sig.iter() {
-            class.push(classify_touch(&mut ws.work, own, self.hw_next_line));
+            class.push(classify_touch(
+                &mut ws.work,
+                own,
+                self.hw_next_line,
+                self.halves,
+            ));
             if let Some(tb) = pf {
-                ws.work.0.update(tb);
-                ws.work.1.update(tb);
+                fold(&mut ws.work, tb, self.halves);
             }
         }
         self.c.transfer_ns += t_walk.elapsed().as_nanos() as u64;
@@ -686,14 +812,18 @@ impl Solver<'_> {
     }
 }
 
+/// Solves the fixpoint over precomputed node signatures (`dirty` marks
+/// the nodes whose signature changed since `prev`, in incremental mode)
+/// and records every reference's classification.
 #[allow(clippy::too_many_arguments)]
-fn run_classify(
-    p: &Program,
-    layout: &Layout,
+fn solve(
     vivu: &VivuGraph,
     acfg: &Acfg,
     config: &CacheConfig,
     hw_next_line: Option<u32>,
+    halves: Halves,
+    sigs: Vec<NodeSig>,
+    dirty: Option<&[bool]>,
     prev: Option<PrevPass<'_>>,
     cache: &mut AnalysisCache,
 ) -> Result<ClassifyResult, AnalysisError> {
@@ -707,17 +837,15 @@ fn run_classify(
     // built on the first pass.
     let top = cache.topology(|| build_topology(vivu));
 
-    let block_shift = config.block_bytes().trailing_zeros();
-    let (sigs, dirty) = node_sigs(p, layout, vivu, block_shift, prev.map(|pv| pv.sigs), cache);
-
     let ws = SolverScratch::acquire(cache, n, &empty);
     let (outcomes, totals) = Solver {
         top: &top,
         sigs: &sigs,
         cache,
         prev,
-        dirty: dirty.as_deref(),
+        dirty,
         hw_next_line,
+        halves,
         outcomes: (0..n).map(|_| None).collect(),
         ws,
         c: Counters::default(),
@@ -799,6 +927,7 @@ mod tests {
             a,
             config,
             hw_next_line,
+            Halves::Both,
             &mut AnalysisCache::new(),
         )
         .unwrap()
@@ -975,6 +1104,7 @@ mod tests {
             &a2,
             &cfg,
             None,
+            Halves::Both,
             PrevPass {
                 acfg: &a1,
                 class: &c1.class,
@@ -1081,6 +1211,7 @@ mod tests {
             &a,
             &cfg,
             None,
+            Halves::Both,
             PrevPass {
                 acfg: &a,
                 class: &c1.class,

@@ -11,7 +11,8 @@
 //! 2. [`classify`] — must/may abstract interpretation at reference
 //!    granularity over the context graph, yielding a
 //!    [`Classification`](rtpf_cache::Classification) and a worst-case
-//!    access time `t_w(r)` for every reference;
+//!    access time `t_w(r)` for every reference (the may half runs only
+//!    where its answer is read: `t_w` needs the must half alone);
 //! 3. [`ipet`] — the implicit path enumeration: maximize `Σ t_w(bb)·n_bb`.
 //!    On the acyclic VIVU graph this equals a node-weighted longest path
 //!    (solved exactly by `rtpf-ilp::dag`); the general ILP encoding is
@@ -43,6 +44,8 @@ pub mod acfg;
 pub mod analysis;
 pub mod classify;
 pub mod context;
+#[cfg(test)]
+mod equivalence;
 pub mod error;
 pub mod ipet;
 mod l2;

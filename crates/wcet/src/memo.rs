@@ -32,7 +32,7 @@ use std::sync::Arc;
 use rtpf_cache::{Classification, StateInterner, StatePair};
 use rtpf_isa::MemBlockId;
 
-use crate::classify::SolverScratch;
+use crate::classify::{Halves, SolverScratch};
 use crate::error::AnalysisError;
 use crate::ipet::IpetGraph;
 use crate::vivu::VivuGraph;
@@ -236,7 +236,8 @@ impl Topology {
 }
 
 /// Interner + evaluation memo of one analysis lineage (one VIVU graph
-/// under one L1 geometry and hardware-prefetch setting), plus the
+/// under one L1 geometry, hardware-prefetch setting and set of solved
+/// state halves), plus the
 /// structures derived only from the lineage's VIVU graph: the fixpoint
 /// topology and the frozen IPET graph, each built on first use.
 ///
@@ -248,10 +249,10 @@ impl Topology {
 /// its owner — in the optimizer, when `Optimizer::run` returns.
 #[derive(Default)]
 pub struct AnalysisCache {
-    /// The VIVU graph of the lineage the cache is bound to (see
-    /// [`AnalysisCache::bind`]); holding it keeps the pointer comparison
-    /// sound.
-    vivu: Option<Arc<VivuGraph>>,
+    /// The VIVU graph and solver mode of the lineage the cache is bound
+    /// to (see [`AnalysisCache::bind`]); holding the graph keeps the
+    /// pointer comparison sound.
+    lineage: Option<(Arc<VivuGraph>, Halves)>,
     interner: StateInterner,
     sigs: PreMap<NodeSig>,
     memo: PreMap<Entry>,
@@ -270,17 +271,24 @@ impl AnalysisCache {
         Self::default()
     }
 
-    /// Binds the cache to the lineage whose VIVU graph is `vivu`. Every
-    /// root analysis builds its own graph and its re-analyses share it by
-    /// pointer, so the pointer names the lineage — and with it the
-    /// geometry and next-line setting that node evaluations depend on
-    /// besides their memo key, and the graph the topology and IPET graph
-    /// describe. A cache bound to another lineage starts over empty, so
-    /// handing a re-analysis the wrong cache costs reuse, never a result.
-    pub(crate) fn bind(&mut self, vivu: &Arc<VivuGraph>) {
-        if !self.vivu.as_ref().is_some_and(|v| Arc::ptr_eq(v, vivu)) {
+    /// Binds the cache to the lineage whose VIVU graph is `vivu`, solved
+    /// for `halves`. Every root analysis builds its own graph and its
+    /// re-analyses share it by pointer, so the pointer names the lineage —
+    /// and with it the geometry and next-line setting that node
+    /// evaluations depend on besides their memo key, and the graph the
+    /// topology and IPET graph describe. The mode is part of the binding
+    /// because a memo entry's classifications answer only the halves its
+    /// pass ran. A cache bound to another lineage or mode starts over
+    /// empty, so handing a re-analysis the wrong cache costs reuse, never
+    /// a result.
+    pub(crate) fn bind(&mut self, vivu: &Arc<VivuGraph>, halves: Halves) {
+        let bound = self
+            .lineage
+            .as_ref()
+            .is_some_and(|(v, h)| Arc::ptr_eq(v, vivu) && *h == halves);
+        if !bound {
             *self = AnalysisCache {
-                vivu: Some(Arc::clone(vivu)),
+                lineage: Some((Arc::clone(vivu), halves)),
                 ..AnalysisCache::new()
             };
         }
@@ -433,5 +441,25 @@ mod tests {
         // A different input misses.
         let other = Arc::clone(&hit.out);
         assert!(cache.lookup(&sig, std::slice::from_ref(&other)).is_none());
+    }
+
+    #[test]
+    fn binding_to_another_mode_starts_over() {
+        let p = rtpf_isa::shape::Shape::code(4).compile("bind");
+        let vivu = Arc::new(VivuGraph::build(&p).unwrap());
+        let cfg = CacheConfig::new(2, 16, 256).unwrap();
+        let mut cache = AnalysisCache::new();
+        cache.bind(&vivu, Halves::Must);
+        let sig = cache.intern_sig(&[(MemBlockId(3), None)]);
+        let base = Arc::new(rtpf_cache::no_info(&cfg));
+        let ins = std::slice::from_ref(&base);
+        cache.store(&sig, ins, &base, vec![Classification::Unclassified]);
+        cache.bind(&vivu, Halves::Must);
+        assert_eq!(cache.len(), 1, "same lineage, same mode: kept");
+        cache.bind(&vivu, Halves::Both);
+        assert!(
+            cache.is_empty(),
+            "a must-only entry never answers a fused pass"
+        );
     }
 }

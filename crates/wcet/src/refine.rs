@@ -297,9 +297,8 @@ pub(crate) fn refine_classification(
     let set_of = |b: MemBlockId| config.set_of(b) as u64;
 
     // Sets to explore: every set with an unclassified reference. (Under
-    // FIFO/PLRU all of these are sentinel-caused — `NcCause::Sentinel` —
-    // since the may domain is unbounded; a future bounded-may policy
-    // would order sentinel sets first here.)
+    // FIFO/PLRU the may domain is unbounded, so none of these was ruled
+    // out by the may half: always-miss was structurally unavailable.)
     let mut targets: Vec<u64> = acfg
         .refs()
         .iter()
